@@ -22,7 +22,7 @@
     or ties become ambiguous.
 
     Keys must not be NaN (every rank in the library is a finite time).
-    For generic orderings — the event heap of the engine — use {!Heap}. *)
+    The engine's event queue is a separate structure, {!Wheel}. *)
 
 type 'a t
 

@@ -54,7 +54,7 @@ let test_depth_certifies_conformance () =
   done;
   let rate = 120_000. in
   let depth = Profile.min_depth_bits p ~rate_bps:rate in
-  (* Replay the identical trace (same seed) through a real token bucket. *)
+  (* Feed the identical trace (same seed) through a real token bucket. *)
   let conforms depth =
     let tb = Tb.create ~rate_bps:rate ~depth_bits:depth () in
     let all_ok = ref true in

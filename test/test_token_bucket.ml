@@ -103,48 +103,6 @@ let test_policer_pass_mode () =
   Alcotest.(check int) "violations counted" 3 (Tb.violations p);
   Alcotest.(check int) "none dropped" 0 (Tb.dropped p)
 
-(* --- Leaky bucket shaper --- *)
-
-let test_leaky_bucket_spaces_output () =
-  let engine = Engine.create () in
-  let times = ref [] in
-  let lb =
-    Ispn_traffic.Leaky_bucket.create ~engine ~rate_bps:1e5
-      ~next:(fun _ -> times := Engine.now engine :: !times)
-      ()
-  in
-  (* Burst of 5 at t=0 through a 100 kbit/s shaper with one-packet depth:
-     output at 0, 10ms, 20ms, 30ms, 40ms. *)
-  for i = 0 to 4 do
-    Ispn_traffic.Leaky_bucket.send lb
-      (Packet.make ~flow:0 ~seq:i ~created:0. ())
-  done;
-  Engine.run engine ~until:1.;
-  let times = List.rev !times in
-  Alcotest.(check int) "all forwarded" 5 (List.length times);
-  List.iteri
-    (fun i t ->
-      Alcotest.(check (float 1e-6))
-        (Printf.sprintf "spacing %d" i)
-        (0.01 *. float_of_int i)
-        t)
-    times;
-  Alcotest.(check int) "forwarded count" 5
-    (Ispn_traffic.Leaky_bucket.forwarded lb)
-
-let test_leaky_bucket_queue_bound () =
-  let engine = Engine.create () in
-  let lb =
-    Ispn_traffic.Leaky_bucket.create ~engine ~rate_bps:1e3 ~max_queue:2
-      ~next:(fun _ -> ())
-      ()
-  in
-  for i = 0 to 9 do
-    Ispn_traffic.Leaky_bucket.send lb (Packet.make ~flow:0 ~seq:i ~created:0. ())
-  done;
-  Alcotest.(check bool) "some dropped" true
-    (Ispn_traffic.Leaky_bucket.dropped lb > 0)
-
 let suite =
   [
     Alcotest.test_case "starts full" `Quick test_starts_full;
@@ -156,8 +114,4 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_matches_paper_recurrence;
     Alcotest.test_case "policer drop mode" `Quick test_policer_drop_mode;
     Alcotest.test_case "policer pass mode" `Quick test_policer_pass_mode;
-    Alcotest.test_case "leaky bucket spaces output" `Quick
-      test_leaky_bucket_spaces_output;
-    Alcotest.test_case "leaky bucket queue bound" `Quick
-      test_leaky_bucket_queue_bound;
   ]
