@@ -424,8 +424,10 @@ let () =
     | "--json" :: rest ->
         json := true;
         parse rest acc
-    | [ ("--metrics" | "--series" | "-j" | "--jobs" | "--shards" | "--trace-cap")
-        as flag ] ->
+    | [
+        ( "--metrics" | "--series" | "-j" | "--jobs" | "--shards"
+        | "--trace-cap" ) as flag;
+      ] ->
         Printf.eprintf "%s expects an argument\n" flag;
         exit 2
     | "--metrics" :: file :: rest ->

@@ -12,8 +12,8 @@ module Section = Csz.Section
 let conv parse pp =
   Arg.conv ((fun s -> Result.map_error (fun e -> `Msg e) (parse s)), pp)
 
-let positive_int = conv Section.positive_int Format.pp_print_int
-let positive_float = conv Section.positive_float Format.pp_print_float
+let positive_int = conv Section.positive_int (Arg.conv_printer Arg.int)
+let positive_float = conv Section.positive_float (Arg.conv_printer Arg.float)
 let d = Section.default_ctx
 
 let duration =
@@ -25,7 +25,8 @@ let duration =
 
 let seed =
   let doc = "PRNG seed; equal seeds reproduce runs bit-for-bit." in
-  Arg.(value & opt int64 d.Section.seed & info [ "s"; "seed" ] ~docv:"SEED" ~doc)
+  Arg.(
+    value & opt int64 d.Section.seed & info [ "s"; "seed" ] ~docv:"SEED" ~doc)
 
 let avg_rate =
   let doc = "Per-flow average packet rate A (packets/second)." in
@@ -40,7 +41,10 @@ let jobs =
      Results are bit-identical for any value; defaults to the host's \
      recommended domain count."
   in
-  Arg.(value & opt positive_int d.Section.jobs & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+  Arg.(
+    value
+    & opt positive_int d.Section.jobs
+    & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let shards =
   let doc =
@@ -103,7 +107,7 @@ let trace_cap =
     & opt positive_int (1 lsl 20)
     & info [ "events"; "trace-cap" ] ~docv:"N" ~doc)
 
-(* ---- registry entries as subcommands -------------------------------------- *)
+(* ---- registry entries as subcommands ------------------------------------ *)
 
 type opts = {
   ctx : Section.ctx;
@@ -149,7 +153,13 @@ let run (s : Section.t) o =
 
 let section_cmd (s : Section.t) =
   let init =
-    { ctx = d; fast = false; debug = false; metrics_file = None; series_file = None }
+    {
+      ctx = d;
+      fast = false;
+      debug = false;
+      metrics_file = None;
+      series_file = None;
+    }
   in
   let opts =
     List.fold_left
@@ -158,7 +168,7 @@ let section_cmd (s : Section.t) =
   in
   Cmd.v (Cmd.info s.name ~doc:s.doc) Term.(const (run s) $ opts)
 
-(* ---- CLI-only wrappers ---------------------------------------------------- *)
+(* ---- CLI-only wrappers -------------------------------------------------- *)
 
 let profile_cmd =
   let run duration seed avg_rate =
@@ -333,7 +343,8 @@ let trace_cmd =
   in
   Cmd.v (Cmd.info "trace" ~doc)
     Term.(
-      const run $ duration $ seed $ experiment $ worst $ trace_cap $ fast $ dump)
+      const run $ duration $ seed $ experiment $ worst $ trace_cap $ fast
+      $ dump)
 
 let default =
   let doc =

@@ -60,9 +60,11 @@ let conclude ?metrics_file ?series_file outputs =
     Printf.eprintf "wrote %s\n%!" path
   in
   let cat f = List.concat_map f outputs in
-  Option.iter (write (fun p -> Metrics.write_file p (cat (fun o -> o.snapshots))))
+  Option.iter
+    (write (fun p -> Metrics.write_file p (cat (fun o -> o.snapshots))))
     metrics_file;
-  Option.iter (write (fun p -> Series.write_file p (cat (fun o -> o.exports))))
+  Option.iter
+    (write (fun p -> Series.write_file p (cat (fun o -> o.exports))))
     series_file;
   let v = List.fold_left (fun acc o -> acc + violations o) 0 outputs in
   if v > 0 then begin
@@ -80,7 +82,7 @@ let positive_float s =
   | Some f when Float.is_finite f && f > 0. -> Ok f
   | _ -> Error (Printf.sprintf "'%s' is not a positive finite number" s)
 
-(* ---- per-job instrumentation ---------------------------------------------- *)
+(* ---- per-job instrumentation -------------------------------------------- *)
 
 (* A job running under Pool.map builds its own registry so domains never
    share one, and reduces it to plain labelled data before returning; the
@@ -116,7 +118,8 @@ let harvest ctx ~label j =
   {
     empty with
     snapshots =
-      (if ctx.metrics then labelled label (Option.map Metrics.snapshot j.j_metrics)
+      (if ctx.metrics then
+         labelled label (Option.map Metrics.snapshot j.j_metrics)
        else []);
     exports =
       labelled label (Option.map (Series.export ?hist:j.j_hist) j.j_series);
@@ -137,7 +140,9 @@ let finish ?(note = "") body parts =
   in
   let note = if note = "" then "" else "\n" ^ note ^ "\n" in
   {
-    text = String.concat "" ((body :: Report.obs_footer snapshots :: footers) @ [ note ]);
+    text =
+      String.concat ""
+        ((body :: Report.obs_footer snapshots :: footers) @ [ note ]);
     snapshots;
     exports = cat (fun o -> o.exports);
     checks;
@@ -146,7 +151,7 @@ let finish ?(note = "") body parts =
 let lines f rows = String.concat "" (List.map f rows)
 let pct x = 100. *. x
 
-(* ---- the paper's tables --------------------------------------------------- *)
+(* ---- the paper's tables ------------------------------------------------- *)
 
 let info_line (info : E.run_info) =
   Printf.sprintf
@@ -156,7 +161,9 @@ let info_line (info : E.run_info) =
           (Array.mapi (fun i u -> Printf.sprintf "L%d %.1f%%" (i + 1) (pct u))
              info.E.utilization)))
     info.E.offered info.E.source_dropped
-    (pct (float_of_int info.E.source_dropped /. float_of_int (max 1 info.E.offered)))
+    (pct
+       (float_of_int info.E.source_dropped
+       /. float_of_int (max 1 info.E.offered)))
     info.E.net_dropped
 
 let per_flow ctx title results info =
@@ -171,7 +178,8 @@ let per_sched ctx ~table run scheds =
     (fun sched ->
       let j = job ctx in
       let results, info = run sched j in
-      (sched, results, info, harvest ctx ~label:(table ^ "." ^ E.sched_name sched) j))
+      let label = table ^ "." ^ E.sched_name sched in
+      (sched, results, info, harvest ctx ~label j))
     scheds
 
 let verbose_runs ctx runs =
@@ -189,7 +197,9 @@ let table1 ctx =
       [ E.Wfq; E.Fifo ]
   in
   finish
-    (Report.table1 (List.map (fun (s, r, i, _) -> (s, r, i)) runs) ~sample_flow:0
+    (Report.table1
+       (List.map (fun (s, r, i, _) -> (s, r, i)) runs)
+       ~sample_flow:0
     ^ "\n" ^ verbose_runs ctx runs)
     (List.map (fun (_, _, _, o) -> o) runs)
     ~note:
@@ -242,7 +252,7 @@ let table3 ctx =
        Average;\n\
        High < Low; link near saturation with real-time at ~83.5%."
 
-(* ---- extensions ----------------------------------------------------------- *)
+(* ---- extensions --------------------------------------------------------- *)
 
 let bakeoff ctx =
   let runs =
@@ -468,8 +478,8 @@ let faults ctx =
            r.X.fo_degraded
          ^ lines
              (fun (f : X.failover_flow) ->
-               Printf.sprintf "    flow %d: requested %s, ended %s\n" f.X.ff_flow
-                 f.X.ff_requested f.X.ff_final)
+               Printf.sprintf "    flow %d: requested %s, ended %s\n"
+                 f.X.ff_flow f.X.ff_requested f.X.ff_final)
              r.X.fo_flows)
        rows)
     [
@@ -478,7 +488,9 @@ let faults ctx =
         exports =
           List.concat_map
             (fun (r : X.failover_row) ->
-              labelled ("faults." ^ X.failover_name r.X.fo_schedule) r.X.fo_series)
+              labelled
+                ("faults." ^ X.failover_name r.X.fo_schedule)
+                r.X.fo_series)
             rows;
       };
     ]
@@ -512,12 +524,16 @@ let churn ctx =
            r.X.ch_leaked)
        rows
     ^ Printf.sprintf "cumulative sessions across scenarios: %d\n"
-        (List.fold_left (fun acc (r : X.churn_row) -> acc + r.X.ch_offered) 0 rows))
+        (List.fold_left
+           (fun acc (r : X.churn_row) -> acc + r.X.ch_offered)
+           0 rows))
     [
       {
         empty with
-        checks = List.concat_map (fun r -> labelled (label r) r.X.ch_check) rows;
-        exports = List.concat_map (fun r -> labelled (label r) r.X.ch_series) rows;
+        checks =
+          List.concat_map (fun r -> labelled (label r) r.X.ch_check) rows;
+        exports =
+          List.concat_map (fun r -> labelled (label r) r.X.ch_series) rows;
       };
     ]
     ~note:
@@ -556,7 +572,8 @@ let scale ctx =
             row.X.sc_span row.X.sc_flows row.X.sc_delivered
             row.X.sc_mean_delay row.X.sc_max_delay row.X.sc_mean_qdelay)
         r.X.sc_rows
-    ^ Printf.sprintf "total: delivered %d, sent %d link transmissions, dropped %d\n"
+    ^ Printf.sprintf
+        "total: delivered %d, sent %d link transmissions, dropped %d\n"
         r.X.sc_delivered_total r.X.sc_sent r.X.sc_dropped)
     [
       {
@@ -593,7 +610,8 @@ let ablation ctx =
        (fun (gain, (r : E.flow_result)) ->
          Printf.sprintf "gain 1/%-6.0f 4-hop mean %5.2f, 99.9%%ile %6.2f\n"
            (1. /. gain) r.E.mean r.E.p999)
-       (X.run_gain_ablation ~duration:ctx.duration ~seed:ctx.seed ~j:ctx.jobs ()))
+       (X.run_gain_ablation ~duration:ctx.duration ~seed:ctx.seed ~j:ctx.jobs
+          ()))
     []
     ~note:
       "Shape to check (DESIGN.md): a fast class average (1/16) mutes the \
@@ -633,7 +651,7 @@ let trace ctx =
        packets' delay is spread across the path rather than concentrated at\n\
        one hop, and under CSZ the predicted classes dominate the tail."
 
-(* ---- the registry --------------------------------------------------------- *)
+(* ---- the registry ------------------------------------------------------- *)
 
 let plain = [ Duration; Seed ]
 let tables = [ Duration; Seed; Avg_rate; Verbose; Metrics; Series; Check ]

@@ -16,12 +16,11 @@ let test_registry () =
     (fun (s : S.t) ->
       Alcotest.(check bool) (s.S.name ^ " documented") true (s.S.doc <> ""))
     S.all;
-  Alcotest.(check (list (pair string (option (float 0.)))))
+  Alcotest.(check (list (pair string (float 0.))))
     "bench duration caps"
-    [ ("signaling", Some 120.); ("faults", Some 120.); ("seeds", Some 300.);
-      ("trace", Some 120.) ]
+    [ ("signaling", 120.); ("faults", 120.); ("seeds", 300.); ("trace", 120.) ]
     (List.filter_map
-       (fun (s : S.t) -> Option.map (fun c -> (s.S.name, Some c)) s.S.cap)
+       (fun (s : S.t) -> Option.map (fun c -> (s.S.name, c)) s.S.cap)
        S.all)
 
 let test_topology_is_figure1 () =
@@ -38,7 +37,8 @@ let test_table1_parts () =
     (List.length plain.S.snapshots + List.length plain.S.exports
     + List.length plain.S.checks);
   let o =
-    (find "table1").S.run { ctx with check = true; metrics = true; series = true }
+    (find "table1").S.run
+      { ctx with check = true; metrics = true; series = true }
   in
   let labels l = List.map fst l in
   let want = [ "table1.WFQ"; "table1.FIFO" ] in
@@ -46,17 +46,22 @@ let test_table1_parts () =
   Alcotest.(check (list string)) "exports" want (labels o.S.exports);
   Alcotest.(check (list string)) "checks" want (labels o.S.checks);
   Alcotest.(check int) "clean" 0 (S.violations o);
-  Alcotest.(check bool) "[obs] footer" true (contains o.S.text "[obs] table1.WFQ");
-  Alcotest.(check bool) "[check] footer" true (contains o.S.text "[check] table1.FIFO");
+  Alcotest.(check bool) "[obs] footer" true
+    (contains o.S.text "[obs] table1.WFQ");
+  Alcotest.(check bool) "[check] footer" true
+    (contains o.S.text "[check] table1.FIFO");
   let footer l =
-    List.exists (fun prefix -> String.starts_with ~prefix l) [ "[obs]"; "[check]" ]
+    List.exists
+      (fun prefix -> String.starts_with ~prefix l)
+      [ "[obs]"; "[check]" ]
   in
   let strip text =
     List.filter (fun l -> not (footer l)) (String.split_on_char '\n' text)
   in
   Alcotest.(check (list string)) "footers only add lines" (strip plain.S.text)
     (strip o.S.text);
-  Alcotest.(check bool) "note present" true (contains o.S.text "Paper (Table 1)")
+  Alcotest.(check bool) "note present" true
+    (contains o.S.text "Paper (Table 1)")
 
 let test_positive_parsers () =
   let ok_int = function Ok n -> Some n | Error _ -> None in
@@ -73,7 +78,8 @@ let test_positive_parsers () =
 let suite =
   [
     Alcotest.test_case "registry entries" `Quick test_registry;
-    Alcotest.test_case "topology renders figure 1" `Quick test_topology_is_figure1;
+    Alcotest.test_case "topology renders figure 1" `Quick
+      test_topology_is_figure1;
     Alcotest.test_case "table1 parts and footers" `Quick test_table1_parts;
     Alcotest.test_case "positive flag parsers" `Quick test_positive_parsers;
   ]
