@@ -391,11 +391,8 @@ let sections =
   List.map (fun (s : Section.t) -> (s.Section.name, run_entry s)) Section.all
   @ [ ("micro", micro) ]
 
-let banner title =
-  Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
-
 let section name f =
-  banner name;
+  Printf.printf "\n%s\n%s\n" name (String.make (String.length name) '=');
   let t0 = Unix.gettimeofday () in
   f ();
   (* Host time is nondeterministic; stderr keeps stdout reproducible.  The

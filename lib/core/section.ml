@@ -112,11 +112,14 @@ let job ctx =
   { j_metrics; j_series; j_hist; j_audit }
 
 let labelled label = function Some x -> [ (label, x) ] | None -> []
-let empty = { text = ""; snapshots = []; exports = []; checks = [] }
+
+(* The labelled extras a runner returned inside its rows. *)
+let per_row label field rows =
+  List.concat_map (fun r -> labelled (label r) (field r)) rows
 
 let harvest ctx ~label j =
   {
-    empty with
+    text = "";
     snapshots =
       (if ctx.metrics then
          labelled label (Option.map Metrics.snapshot j.j_metrics)
@@ -127,11 +130,13 @@ let harvest ctx ~label j =
   }
 
 (* The section's stdout: body, [obs] footers, [check] footers, then the
-   paper reference / shape note after a blank line. *)
-let finish ?(note = "") body parts =
-  let cat f = List.concat_map f parts in
-  let snapshots = cat (fun o -> o.snapshots) in
-  let checks = cat (fun o -> o.checks) in
+   paper reference / shape note after a blank line.  The extras come from
+   harvested pool jobs ([parts]) or straight from a runner's rows. *)
+let finish ?(parts = []) ?(snapshots = []) ?(exports = []) ?(checks = [])
+    ?(note = "") body =
+  let cat extra f = extra @ List.concat_map f parts in
+  let snapshots = cat snapshots (fun o -> o.snapshots) in
+  let checks = cat checks (fun o -> o.checks) in
   let footers =
     List.concat_map
       (fun (label, s) ->
@@ -144,7 +149,7 @@ let finish ?(note = "") body parts =
       String.concat ""
         ((body :: Report.obs_footer snapshots :: footers) @ [ note ]);
     snapshots;
-    exports = cat (fun o -> o.exports);
+    exports = cat exports (fun o -> o.exports);
     checks;
   }
 
@@ -201,7 +206,7 @@ let table1 ctx =
        (List.map (fun (s, r, i, _) -> (s, r, i)) runs)
        ~sample_flow:0
     ^ "\n" ^ verbose_runs ctx runs)
-    (List.map (fun (_, _, _, o) -> o) runs)
+    ~parts:(List.map (fun (_, _, _, o) -> o) runs)
     ~note:
       "Paper (Table 1):  WFQ mean 3.16, 99.9%ile 53.86;  FIFO mean 3.17, \
        99.9%ile 34.72\n\
@@ -222,7 +227,7 @@ let table2 ctx =
        (List.map (fun (s, r, _, _) -> (s, r)) runs)
        ~sample_flows:[ 18; 8; 2; 0 ]
     ^ "\n" ^ verbose_runs ctx runs)
-    (List.map (fun (_, _, _, o) -> o) runs)
+    ~parts:(List.map (fun (_, _, _, o) -> o) runs)
     ~note:
       "Paper (Table 2), 99.9%ile by path length 1/2/3/4:\n\
       \  WFQ   45.31  60.31  65.86  80.59\n\
@@ -241,7 +246,7 @@ let table3 ctx =
   finish
     (Report.table3 res ^ "\n"
     ^ per_flow ctx "All real-time flows" res.E.all_flows res.E.info)
-    [ harvest ctx ~label:"table3" j ]
+    ~parts:[ harvest ctx ~label:"table3" j ]
     ~note:
       "Paper (Table 3): Peak/4 max 15.99 vs bound 23.53; Peak/2 8.79 vs \
        11.76;\n\
@@ -292,16 +297,11 @@ let bakeoff ctx =
   in
   finish
     (Table.render ~header ~rows:(List.map row runs) () ^ "\n")
-    [
-      {
-        empty with
-        checks =
-          List.concat_map
-            (fun (r : X.bakeoff_row) ->
-              labelled ("bakeoff." ^ X.bakeoff_name r.X.bk_sched) r.X.bk_check)
-            runs;
-      };
-    ]
+    ~checks:
+      (per_row
+         (fun r -> "bakeoff." ^ X.bakeoff_name r.X.bk_sched)
+         (fun r -> r.X.bk_check)
+         runs)
     ~note:
       "Shape to check: the isolating schedulers (WFQ, VirtualClock, DRR,\n\
        WRR, RR-groups) all pay a tail penalty against the sharing\n\
@@ -329,7 +329,6 @@ let admission ctx =
            (pct r.X.mean_utilization) (pct r.X.violation_rate)
            (pct r.X.net_drop_rate))
        (X.run_admission ~duration:ctx.duration ~seed:ctx.seed ~j:ctx.jobs ()))
-    []
     ~note:
       "Shape to check (the paper's Section 9/12 conjecture): the measured\n\
        policy admits more flows and runs the link hotter than worst-case\n\
@@ -345,7 +344,6 @@ let playback ctx =
             %.3f%%\n"
            r.X.client r.X.mean_point (pct r.X.app_loss_rate))
        (X.run_playback ~duration:ctx.duration ~seed:ctx.seed ()))
-    []
     ~note:
       "Shape to check (Section 2.3/12): both adaptive clients' play-back\n\
        points sit far below the rigid client's advertised-bound point at a\n\
@@ -359,7 +357,6 @@ let cascade ctx =
          Printf.sprintf "%-10s per-hop mean %6.2f, 99.9%%ile %8.2f\n"
            r.X.cascade_class r.X.c_mean r.X.c_p999)
        (X.run_cascade ~duration:ctx.duration ~seed:ctx.seed ()))
-    []
     ~note:
       "Shape to check (Section 7): each class absorbs the jitter of the\n\
        classes above it, so tails grow monotonically down the priority\n\
@@ -376,7 +373,6 @@ let isolation ctx =
            r.X.iso_sched r.X.honest_mean r.X.honest_p999 r.X.cheat_mean
            r.X.cheat_p999)
        (X.run_isolation ~duration:ctx.duration ~seed:ctx.seed ()))
-    []
     ~note:
       "Shape to check (Section 5): under plain FIFO the cheater drags \
        everyone\n\
@@ -396,7 +392,6 @@ let discard ctx =
            r.X.p999_4hop
            (pct r.X.discarded_fraction))
        (X.run_discard ~duration:ctx.duration ~seed:ctx.seed ()))
-    []
     ~note:
       "Shape to check (Section 10): discarding packets whose accumulated \
        offset\n\
@@ -418,7 +413,6 @@ let service ctx =
          utilization %.1f%%, predicted target violations %.2f%%\n"
         r.X.e2e_admitted r.X.e2e_rejected (pct r.X.e2e_utilization)
         (pct r.X.e2e_violations))
-    []
     ~note:
       "Shape to check: guaranteed flows admitted immediately; predicted\n\
        admissions arrive in waves as measurement replaces worst-case\n\
@@ -436,7 +430,6 @@ let sweep ctx =
            (pct r.X.achieved_utilization) r.X.fifo_p999 r.X.wfq_p999
            (r.X.wfq_p999 /. r.X.fifo_p999))
        (X.run_load_sweep ~duration:ctx.duration ~seed:ctx.seed ~j:ctx.jobs ()))
-    []
     ~note:
       "Shape to check (Section 12): sharing and isolation coincide when\n\
        bandwidth is plentiful; the sharing advantage (WFQ/FIFO tail ratio)\n\
@@ -451,7 +444,6 @@ let signaling ctx =
            "background load %3.0f%%: %3d setups, mean %6.2f ms, max %7.2f ms\n"
            (pct r.X.sig_load) r.X.sig_setups r.X.sig_mean_ms r.X.sig_max_ms)
        (X.run_signaling ~duration:ctx.duration ~seed:ctx.seed ()))
-    []
     ~note:
       "Shape to check: establishment takes real network time (about 6 ms\n\
        across four hops when idle: four 0.5 ms control transmissions plus\n\
@@ -482,18 +474,11 @@ let faults ctx =
                  f.X.ff_flow f.X.ff_requested f.X.ff_final)
              r.X.fo_flows)
        rows)
-    [
-      {
-        empty with
-        exports =
-          List.concat_map
-            (fun (r : X.failover_row) ->
-              labelled
-                ("faults." ^ X.failover_name r.X.fo_schedule)
-                r.X.fo_series)
-            rows;
-      };
-    ]
+    ~exports:
+      (per_row
+         (fun r -> "faults." ^ X.failover_name r.X.fo_schedule)
+         (fun r -> r.X.fo_series)
+         rows)
     ~note:
       "Shape to check: the baseline row is clean (no retries, no\n\
        degradation); link outages and header corruption lose packets and\n\
@@ -527,15 +512,8 @@ let churn ctx =
         (List.fold_left
            (fun acc (r : X.churn_row) -> acc + r.X.ch_offered)
            0 rows))
-    [
-      {
-        empty with
-        checks =
-          List.concat_map (fun r -> labelled (label r) r.X.ch_check) rows;
-        exports =
-          List.concat_map (fun r -> labelled (label r) r.X.ch_series) rows;
-      };
-    ]
+    ~checks:(per_row label (fun r -> r.X.ch_check) rows)
+    ~exports:(per_row label (fun r -> r.X.ch_series) rows)
     ~note:
       "Shape to check: leaked is 0 in every scenario — that is the soft-state\n\
        contract.  The clean run expires nothing (all teardowns arrive); the\n\
@@ -575,14 +553,9 @@ let scale ctx =
     ^ Printf.sprintf
         "total: delivered %d, sent %d link transmissions, dropped %d\n"
         r.X.sc_delivered_total r.X.sc_sent r.X.sc_dropped)
-    [
-      {
-        empty with
-        snapshots = labelled "scale" r.X.sc_metrics;
-        exports = labelled "scale" r.X.sc_series;
-        checks = labelled "scale" r.X.sc_check;
-      };
-    ]
+    ~snapshots:(labelled "scale" r.X.sc_metrics)
+    ~exports:(labelled "scale" r.X.sc_series)
+    ~checks:(labelled "scale" r.X.sc_check)
     ~note:
       "Shape to check: mean delay grows with the regions crossed —\n\
        propagation dominates at ~10 ms per backbone hop — while the\n\
@@ -597,7 +570,6 @@ let importance ctx =
          Printf.sprintf "%-16s received %6d   mean %6.2f   99.9%%ile %7.2f\n"
            r.X.imp_label r.X.imp_received r.X.imp_mean r.X.imp_p999)
        (X.run_importance ~duration:ctx.duration ~seed:ctx.seed ()))
-    []
     ~note:
       "Shape to check (Section 10): one application, two importance tags,\n\
        adjacent priority classes: the important packets see almost no\n\
@@ -612,7 +584,6 @@ let ablation ctx =
            (1. /. gain) r.E.mean r.E.p999)
        (X.run_gain_ablation ~duration:ctx.duration ~seed:ctx.seed ~j:ctx.jobs
           ()))
-    []
     ~note:
       "Shape to check (DESIGN.md): a fast class average (1/16) mutes the \
        jitter\n\
@@ -629,7 +600,6 @@ let seeds ctx =
            (E.sched_name r.X.seeds_sched)
            r.X.p999_mean r.X.p999_min r.X.p999_max)
        (X.run_seed_robustness ~duration:ctx.duration ~j:ctx.jobs ()))
-    []
     ~note:
       "Shape to check: the Table-2 ordering (FIFO+ < FIFO < WFQ at four\n\
        hops) is not an artifact of the headline seed — the seed-wise ranges\n\
@@ -644,7 +614,6 @@ let trace ctx =
               ~duration:ctx.duration ~seed:ctx.seed ())
          ^ "\n")
        [ X.T_table2; X.T_table3 ])
-    []
     ~note:
       "Shape to check: each packet's per-hop queueing sums to the\n\
        end-to-end delay its egress probe reported; under FIFO+ the worst\n\
@@ -661,7 +630,7 @@ let entry ?cap ?(params = plain) name doc run = { name; doc; params; cap; run }
 let all =
   [
     entry "topology" "Print the Figure-1 topology and flow layout." ~params:[]
-      (fun _ -> finish (Report.figure1 ()) []);
+      (fun _ -> finish (Report.figure1 ()));
     entry "table1" "Reproduce Table 1: WFQ vs FIFO on a single shared link."
       ~params:(Jobs :: tables) table1;
     entry "table2"

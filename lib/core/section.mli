@@ -55,9 +55,6 @@ type t = {
 val all : t list
 (** In the bench's run order. *)
 
-val violations : output -> int
-(** Invariant violations summed over [checks]. *)
-
 val conclude :
   ?metrics_file:string -> ?series_file:string -> output list -> unit
 (** End a front-end run: write the outputs' snapshots and exports, in

@@ -54,3 +54,9 @@ let mean_wait records =
       /. float_of_int (List.length records)
 
 let max_wait records = List.fold_left (fun acc r -> Stdlib.max acc r.r_wait) 0. records
+
+(* [contains hay needle]: substring test for rendered output. *)
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0

@@ -240,13 +240,8 @@ let test_footer_lines () =
   let lines = Audit.footer_lines ~label:"t" (Audit.finalize a) in
   Alcotest.(check bool) "per-invariant + sample lines" true
     (List.length lines >= 3);
-  let contains ~sub s =
-    let n = String.length sub and m = String.length s in
-    let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-    go 0
-  in
   Alcotest.(check bool) "includes a sample" true
-    (List.exists (contains ~sub:"!!") lines)
+    (List.exists (fun l -> Helpers.contains l "!!") lines)
 
 let suite =
   [

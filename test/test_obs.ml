@@ -5,10 +5,7 @@ module Metrics = Ispn_obs.Metrics
 module Recorder = Ispn_obs.Recorder
 module Attrib = Ispn_obs.Attrib
 
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
+let contains = Helpers.contains
 
 (* --- Metrics registry --- *)
 

@@ -19,10 +19,7 @@ let fake_info =
     net_dropped = 0;
   }
 
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
+let contains = Helpers.contains
 
 let test_table1_layout () =
   let out =

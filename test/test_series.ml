@@ -7,10 +7,7 @@ module Series = Ispn_obs.Series
 module Hist = Ispn_obs.Hist
 module Loghist = Ispn_util.Loghist
 
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
+let contains = Helpers.contains
 
 (* --- Loghist --- *)
 
