@@ -112,20 +112,32 @@ let micro () =
           Csz.Csz_sched.set_predicted st ~flow:f ~cls:(f mod 2)
         done;
         q
+    | "CSZ-idle" ->
+        (* A reservation at flow 8191 grows the per-flow tables to 8192
+           slots.  Driven with that flow alone and no standing queue, every
+           enqueue opens a busy period and every dequeue ends one, so this
+           row prices the busy-period reset at a wide table. *)
+        let st, q =
+          Csz.Csz_sched.create ~pool:(Ispn_sim.Qdisc.unbounded_pool ()) ()
+        in
+        Csz.Csz_sched.add_guaranteed st ~flow:8191 ~clock_rate_bps:50_000.;
+        q
     | name -> invalid_arg name
   in
   (* Per-packet cost: enqueue + dequeue through a 32-deep standing queue of
      16 flows, the regime a loaded switch sits in.  The paper's constraint:
      "since it must be executed for every packet it must not be so complex
-     as to effect overall network performance". *)
-  let test name =
+     as to effect overall network performance".  [~depth] overrides the
+     standing queue's depth and [~flow] sends every packet on one flow. *)
+  let test ?(depth = 32) ?flow name =
+    let flow_of seq = match flow with Some f -> f | None -> seq mod 16 in
     let q = make_qdisc name in
     let clock = ref 0. in
     let seq = ref 0 in
-    for i = 0 to 31 do
+    for i = 0 to depth - 1 do
       ignore
         (q.Ispn_sim.Qdisc.enqueue ~now:0.
-           (Ispn_sim.Packet.make ~flow:(i mod 16) ~seq:i ~created:0. ()))
+           (Ispn_sim.Packet.make ~flow:(flow_of i) ~seq:i ~created:0. ()))
     done;
     Test.make ~name
       (Staged.stage (fun () ->
@@ -133,7 +145,7 @@ let micro () =
            incr seq;
            ignore
              (q.Ispn_sim.Qdisc.enqueue ~now:!clock
-                (Ispn_sim.Packet.make ~flow:(!seq mod 16) ~seq:!seq
+                (Ispn_sim.Packet.make ~flow:(flow_of !seq) ~seq:!seq
                    ~created:!clock ()));
            (* Recycle the served packet as a sink would; without the free
               the arena grows by one slot per iteration and the bench
@@ -148,6 +160,7 @@ let micro () =
         test "FIFO"; test "FIFO+"; test "WFQ"; test "VirtualClock";
         test "DRR"; test "WRR"; test "EDF"; test "Jitter-EDD"; test "HRR";
         test "CBS"; test "ATS"; test "Stop-and-Go"; test "CSZ";
+        test ~depth:0 ~flow:8191 "CSZ-idle";
       ]
   in
   let cfg =

@@ -75,23 +75,25 @@ let epoch t =
       List.iter (Hashtbl.remove ls.unmeasured) stale)
     t.links
 
+(* An all-float record, so summing into it stores unboxed floats. *)
+type sum = { mutable total : float }
+
 let nu_hat t ls =
-  let unmeasured =
-    Hashtbl.fold (fun _ (rate, _) acc -> acc +. rate) ls.unmeasured 0.
-  in
-  Meter.util_hat ls.meter +. (unmeasured /. t.mu)
+  let acc = { total = 0. } in
+  Hashtbl.iter (fun _ (rate, _) -> acc.total <- acc.total +. rate) ls.unmeasured;
+  Meter.util_hat ls.meter +. (acc.total /. t.mu)
 
 (* Criterion (1): real-time load incl. the newcomer stays under the quota
    complement.  Guaranteed reservations are counted at their full clock rate
-   even when idle, since the network has promised that rate. *)
-let quota_ok t ls ~rate =
-  let nu = Stdlib.max (nu_hat t ls) (ls.guaranteed_bps /. t.mu) in
+   even when idle, since the network has promised that rate.  [nu] is the
+   link's {!nu_hat}. *)
+let quota_ok t ls ~nu ~rate =
+  let nu = Stdlib.max nu (ls.guaranteed_bps /. t.mu) in
   (rate /. t.mu) +. nu < 1. -. t.datagram_quota
 
 (* Criterion (2) at one link for a flow of burst [b] entering at priority
    [cls] ([-1] = guaranteed, above every class). *)
-let delay_ok t ls ~rate ~depth ~cls =
-  let nu = nu_hat t ls in
+let delay_ok t ls ~nu ~rate ~depth ~cls =
   let headroom = t.mu -. (nu *. t.mu) -. rate in
   let k = Array.length t.class_targets in
   let rec check j =
@@ -101,6 +103,11 @@ let delay_ok t ls ~rate ~depth ~cls =
       if depth < slack *. headroom then check (j + 1) else false
   in
   headroom > 0. && check (Stdlib.max cls 0)
+
+(* Both criteria at one link, estimating its load once. *)
+let link_ok t ls ~rate ~depth ~cls =
+  let nu = nu_hat t ls in
+  quota_ok t ls ~nu ~rate && delay_ok t ls ~nu ~rate ~depth ~cls
 
 let choose_class t ~target_delay ~hops =
   (* Cheapest class whose summed per-switch targets still meet the flow's
@@ -120,10 +127,6 @@ let reject t ~flow reason =
       m "flow %d rejected: %s" flow reason);
   Rejected reason
 
-let log_admit ~flow ~what =
-  Logs.info ~src:Ispn_util.Log.admission (fun m ->
-      m "flow %d admitted (%s)" flow what)
-
 let request t ~flow ~path request =
   if Hashtbl.mem t.flows flow then
     invalid_arg (Printf.sprintf "Controller.request: flow %d already admitted" flow);
@@ -138,8 +141,7 @@ let request t ~flow ~path request =
       let depth = float_of_int Ispn_util.Units.packet_bits in
       match
         List.find_opt
-          (fun ls ->
-            not (quota_ok t ls ~rate:r && delay_ok t ls ~rate:r ~depth ~cls:(-1)))
+          (fun ls -> not (link_ok t ls ~rate:r ~depth ~cls:(-1)))
           links
       with
       | Some _ -> reject t ~flow "guaranteed: insufficient capacity on path"
@@ -151,7 +153,8 @@ let request t ~flow ~path request =
             links;
           Hashtbl.replace t.flows flow { request; path; cls = None };
           t.admissions <- t.admissions + 1;
-          log_admit ~flow ~what:(Printf.sprintf "guaranteed %.0f bps" r);
+          Logs.info ~src:Ispn_util.Log.admission (fun m ->
+              m "flow %d admitted (guaranteed %.0f bps)" flow r);
           Admitted { cls = None })
   | Spec.Predicted { bucket; target_delay; _ } -> (
       if path = [] then invalid_arg "Controller.request: empty path";
@@ -161,14 +164,15 @@ let request t ~flow ~path request =
       | Some cls ->
           let r = bucket.Spec.rate_bps and b = bucket.Spec.depth_bits in
           let links = List.map (fun i -> t.links.(i)) path in
-          let ok ls = quota_ok t ls ~rate:r && delay_ok t ls ~rate:r ~depth:b ~cls in
-          if List.for_all ok links then begin
+          if List.for_all (fun ls -> link_ok t ls ~rate:r ~depth:b ~cls) links
+          then begin
             List.iter
               (fun ls -> Hashtbl.replace ls.unmeasured flow (r, t.epoch_now))
               links;
             Hashtbl.replace t.flows flow { request; path; cls = Some cls };
             t.admissions <- t.admissions + 1;
-            log_admit ~flow ~what:(Printf.sprintf "predicted class %d" cls);
+            Logs.info ~src:Ispn_util.Log.admission (fun m ->
+                m "flow %d admitted (predicted class %d)" flow cls);
             Admitted { cls = Some cls }
           end
           else reject t ~flow "predicted: would violate a class delay target")

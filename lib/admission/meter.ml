@@ -29,11 +29,26 @@ let rotate t =
   t.util.(t.cursor) <- 0.;
   Array.fill t.delay.(t.cursor) 0 t.n_classes 0.
 
-let util_hat t = Array.fold_left Stdlib.max 0. t.util
+(* The two window maxima are loops over a local float, which stays
+   unboxed, rather than [Array.fold_left] with a boxed accumulator.
+   Keeping [m] unless [m >= x] is [Stdlib.max]'s own test, so the results
+   are bit-identical. *)
+let util_hat t =
+  let m = ref 0. in
+  for i = 0 to t.epochs - 1 do
+    let x = t.util.(i) in
+    if not (!m >= x) then m := x
+  done;
+  !m
 
 let delay_hat t ~cls =
   if cls < 0 || cls >= t.n_classes then
     invalid_arg "Meter.delay_hat: class out of range";
-  Array.fold_left (fun acc row -> Stdlib.max acc row.(cls)) 0. t.delay
+  let m = ref 0. in
+  for i = 0 to t.epochs - 1 do
+    let x = t.delay.(i).(cls) in
+    if not (!m >= x) then m := x
+  done;
+  !m
 
 let observed_classes t = t.n_classes

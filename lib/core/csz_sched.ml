@@ -25,10 +25,13 @@ let default_config =
    [g_weight.(flow)] to classify itself, so that lookup must be a bare
    array load, not a Hashtbl probe.  [g_weight.(f) = 0.] marks a flow with
    no reservation; a retiring flow (reservation released, packets still
-   queued) keeps its weight until it drains. *)
+   queued) keeps its weight until it drains.  [g_fin.(f)] counts only while
+   [g_fin_period.(f)] equals the clock's current busy period; an older
+   stamp reads as 0. (see {!Vtime.period}). *)
 type g_flows = {
   mutable g_weight : float array;
   mutable g_fin : float array;  (* last virtual finish tag *)
+  mutable g_fin_period : int array;  (* busy period [g_fin] was written in *)
   mutable g_qlen : int array;
   mutable g_retiring : bool array;
 }
@@ -55,6 +58,7 @@ type t = {
   mutable head_cls : int;
   mutable head_start : float;  (* virtual start of flow 0's service slot *)
   mutable f0_last : float;
+  mutable f0_period : int;  (* busy period [f0_last] was written in *)
   mutable f0_backlog : int;  (* flow-0 packets queued, head included *)
   vt : Vtime.t;
   mutable late_discards : int;
@@ -91,14 +95,17 @@ let grow_g t n =
     let n = Stdlib.max n (2 * old) in
     let weight = Array.make n 0. in
     let fin = Array.make n 0. in
+    let fin_period = Array.make n 0 in
     let qlen = Array.make n 0 in
     let retiring = Array.make n false in
     Array.blit gf.g_weight 0 weight 0 old;
     Array.blit gf.g_fin 0 fin 0 old;
+    Array.blit gf.g_fin_period 0 fin_period 0 old;
     Array.blit gf.g_qlen 0 qlen 0 old;
     Array.blit gf.g_retiring 0 retiring 0 old;
     gf.g_weight <- weight;
     gf.g_fin <- fin;
+    gf.g_fin_period <- fin_period;
     gf.g_qlen <- qlen;
     gf.g_retiring <- retiring
   end
@@ -143,7 +150,10 @@ let refresh_head t ~now =
     if not t.head_valid then begin
       commit_head t best;
       Vtime.advance t.vt ~now;
-      t.head_start <- fmax (Vtime.v t.vt) t.f0_last
+      let last =
+        if t.f0_period = Vtime.period t.vt then t.f0_last else 0.
+      in
+      t.head_start <- fmax (Vtime.v t.vt) last
     end
     else if best < t.head_cls then begin
       (* Demote the committed packet; promote the higher-priority one. *)
@@ -160,6 +170,7 @@ let serve_flow0 t ~now =
   let pkt = t.head_pkt in
   let cls = t.head_cls in
   t.f0_last <- head_tag t;
+  t.f0_period <- Vtime.period t.vt;
   t.head_valid <- false;
   t.head_pkt <- t.dummy;
   t.f0_backlog <- t.f0_backlog - 1;
@@ -219,11 +230,16 @@ let enqueue t ~now pkt =
       Vtime.advance t.vt ~now;
       let gf = t.gf in
       if gf.g_qlen.(flow) = 0 then Vtime.flow_activated t.vt ~weight:gw;
+      let period = Vtime.period t.vt in
+      let last =
+        if gf.g_fin_period.(flow) = period then gf.g_fin.(flow) else 0.
+      in
       let tag =
-        fmax (Vtime.v t.vt) gf.g_fin.(flow)
+        fmax (Vtime.v t.vt) last
         +. (float_of_int t.pa.Packet.size_bits.(pkt) /. gw)
       in
       gf.g_fin.(flow) <- tag;
+      gf.g_fin_period.(flow) <- period;
       gf.g_qlen.(flow) <- gf.g_qlen.(flow) + 1;
       t.g_count <- t.g_count + 1;
       Kheap.push t.g_heap ~key:tag pkt;
@@ -277,14 +293,6 @@ let create ?(config = default_config) ?metrics ?(label = "0") ~pool () =
   assert (config.link_rate_bps > 0. && config.n_predicted_classes >= 1);
   let n = config.n_predicted_classes + 1 in
   let dummy = Packet.dummy () in
-  let t_ref = ref None in
-  let on_reset () =
-    match !t_ref with
-    | None -> ()
-    | Some t ->
-        Array.fill t.gf.g_fin 0 (Array.length t.gf.g_fin) 0.;
-        t.f0_last <- 0.
-  in
   let t =
     {
       cfg = config;
@@ -294,6 +302,7 @@ let create ?(config = default_config) ?metrics ?(label = "0") ~pool () =
         {
           g_weight = Array.make 64 0.;
           g_fin = Array.make 64 0.;
+          g_fin_period = Array.make 64 0;
           g_qlen = Array.make 64 0;
           g_retiring = Array.make 64 false;
         };
@@ -315,8 +324,9 @@ let create ?(config = default_config) ?metrics ?(label = "0") ~pool () =
       head_cls = 0;
       head_start = 0.;
       f0_last = 0.;
+      f0_period = 0;
       f0_backlog = 0;
-      vt = Vtime.create ~link_rate_bps:config.link_rate_bps ~on_reset;
+      vt = Vtime.create ~link_rate_bps:config.link_rate_bps;
       late_discards = 0;
       realtime_bits = 0;
       datagram_bits = 0;
@@ -332,7 +342,6 @@ let create ?(config = default_config) ?metrics ?(label = "0") ~pool () =
                      (Printf.sprintf "csz.%s.class.%d.offset" label c)));
     }
   in
-  t_ref := Some t;
   (match metrics with
   | None -> ()
   | Some m ->

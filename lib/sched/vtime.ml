@@ -9,18 +9,18 @@ type state = {
 
 type t = {
   link_rate_bps : float;
-  on_reset : unit -> unit;
   s : state;
   mutable active_count : int;
+  mutable period : int;  (* busy periods completed so far *)
 }
 
-let create ~link_rate_bps ~on_reset =
+let create ~link_rate_bps =
   assert (link_rate_bps > 0.);
   {
     link_rate_bps;
-    on_reset;
     s = { v = 0.; last_update = 0.; active_weight = 0. };
     active_count = 0;
+    period = 0;
   }
 
 let advance t ~now =
@@ -32,6 +32,15 @@ let advance t ~now =
   end
 
 let v t = t.s.v
+let period t = t.period
+
+(* End of the busy period: restart the virtual clock.  Per-flow finish tags
+   stamped with an older period now read as zero, so nothing proportional
+   to the number of flows happens here. *)
+let end_period t =
+  t.s.v <- 0.;
+  t.s.active_weight <- 0.;
+  t.period <- t.period + 1
 
 let flow_activated t ~weight =
   assert (weight > 0.);
@@ -43,12 +52,7 @@ let flow_deactivated t ~now ~weight =
   t.s.active_weight <- t.s.active_weight -. weight;
   t.active_count <- t.active_count - 1;
   assert (t.active_count >= 0);
-  if t.active_count = 0 then begin
-    (* End of the busy period: restart the virtual clock. *)
-    t.s.v <- 0.;
-    t.s.active_weight <- 0.;
-    t.on_reset ()
-  end
+  if t.active_count = 0 then end_period t
 
 (* Weights are clock rates in bits/s (>= 1 in every configuration), so
    anything this small is float drift, not a real remaining reservation. *)
@@ -58,14 +62,11 @@ let adjust_active t ~now ~delta =
   advance t ~now;
   let w = t.s.active_weight +. delta in
   if w > weight_epsilon then t.s.active_weight <- w
-  else begin
+  else
     (* Renegotiation removed the last active weight (or drift left a
        sub-epsilon residue): end the busy period exactly as
        [flow_deactivated] does, but keep [active_count] — the flows
        themselves are still queued and will deactivate normally. *)
-    t.s.v <- 0.;
-    t.s.active_weight <- 0.;
-    t.on_reset ()
-  end
+    end_period t
 
 let active_weight t = t.s.active_weight

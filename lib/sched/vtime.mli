@@ -10,12 +10,15 @@
     The active set is tracked at packet granularity (a flow is active while
     it has packets queued), the standard packetized approximation of the
     fluid model.  When the system drains completely, the busy period ends
-    and virtual time resets to zero; callers must reset their per-flow
-    finish tags at the same time via the [on_reset] callback. *)
+    and virtual time resets to zero.  Every finish tag of the ended period
+    must read as zero from then on; rather than clearing per-flow state
+    (work proportional to the number of flow slots, on every idle), callers
+    stamp each stored tag with the {!period} it was written in and treat a
+    tag whose stamp differs from the current {!period} as zero. *)
 
 type t
 
-val create : link_rate_bps:float -> on_reset:(unit -> unit) -> t
+val create : link_rate_bps:float -> t
 
 val advance : t -> now:float -> unit
 (** Integrate [V] up to [now].  Call before reading {!v} or changing the
@@ -23,12 +26,17 @@ val advance : t -> now:float -> unit
 
 val v : t -> float
 
+val period : t -> int
+(** Busy periods completed so far: starts at 0 and grows by one each time
+    [V] resets (on either path below).  A finish tag written while
+    [period t = p] is valid only while [period t] is still [p]. *)
+
 val flow_activated : t -> weight:float -> unit
 (** A flow with clock rate [weight] (bits/s) became backlogged. *)
 
 val flow_deactivated : t -> now:float -> weight:float -> unit
 (** A flow drained.  When the last flow deactivates the busy period ends:
-    [V] resets to 0 and [on_reset] fires. *)
+    [V] resets to 0 and {!period} grows by one. *)
 
 val adjust_active : t -> now:float -> delta:float -> unit
 (** Change the weight of a currently-active flow in place (the unified
@@ -37,7 +45,7 @@ val adjust_active : t -> now:float -> delta:float -> unit
 
     If the adjustment leaves the summed active weight at (or, through
     float drift, within an epsilon of) zero, the busy period ends exactly
-    as in {!flow_deactivated} — [V] resets to 0 and [on_reset] fires —
+    as in {!flow_deactivated} — [V] resets to 0 and {!period} grows —
     but the active {e count} is kept: the flows are still backlogged and
     will deactivate through {!flow_deactivated} as they drain. *)
 

@@ -5,10 +5,13 @@ module Kheap = Ispn_util.Kheap
    indexed by the small-int flow id — [weight.(f)], [last_finish.(f)],
    [qlen.(f)] — so an enqueue touches flat float/int arrays (no Hashtbl
    hashing, no boxed stores), and the ranked queue is a [Kheap] keyed by
-   the virtual finish tag (no boxed entry, no polymorphic compare). *)
+   the virtual finish tag (no boxed entry, no polymorphic compare).
+   [last_finish.(f)] counts only while [fin_period.(f)] equals the clock's
+   current busy period; an older stamp reads as 0. (see {!Vtime.period}). *)
 type flows = {
   mutable weight : float array;  (* 0. marks a flow not yet seen *)
   mutable last_finish : float array;
+  mutable fin_period : int array;
   mutable qlen : int array;
   mutable seen : int;  (* flows ever registered, for the metric *)
 }
@@ -20,12 +23,15 @@ let grow fl n =
   let n = Stdlib.max n (2 * old) in
   let weight = Array.make n 0. in
   let last_finish = Array.make n 0. in
+  let fin_period = Array.make n 0 in
   let qlen = Array.make n 0 in
   Array.blit fl.weight 0 weight 0 old;
   Array.blit fl.last_finish 0 last_finish 0 old;
+  Array.blit fl.fin_period 0 fin_period 0 old;
   Array.blit fl.qlen 0 qlen 0 old;
   fl.weight <- weight;
   fl.last_finish <- last_finish;
+  fl.fin_period <- fin_period;
   fl.qlen <- qlen
 
 let create ?metrics ?(label = "0") ~pool ~link_rate_bps ~weight_of () =
@@ -33,16 +39,14 @@ let create ?metrics ?(label = "0") ~pool ~link_rate_bps ~weight_of () =
     {
       weight = Array.make 64 0.;
       last_finish = Array.make 64 0.;
+      fin_period = Array.make 64 0;
       qlen = Array.make 64 0;
       seen = 0;
     }
   in
   let pa = Packet.arena () in
   let heap = Kheap.create ~capacity:64 ~dummy:(Packet.dummy ()) () in
-  let vt =
-    Vtime.create ~link_rate_bps ~on_reset:(fun () ->
-        Array.fill fl.last_finish 0 (Array.length fl.last_finish) 0.)
-  in
+  let vt = Vtime.create ~link_rate_bps in
   (match metrics with
   | None -> ()
   | Some m ->
@@ -67,11 +71,15 @@ let create ?metrics ?(label = "0") ~pool ~link_rate_bps ~weight_of () =
       let w = fl.weight.(flow) in
       let w = if w > 0. then w else register flow in
       if fl.qlen.(flow) = 0 then Vtime.flow_activated vt ~weight:w;
+      let period = Vtime.period vt in
+      let last =
+        if fl.fin_period.(flow) = period then fl.last_finish.(flow) else 0.
+      in
       let tag =
-        fmax (Vtime.v vt) fl.last_finish.(flow)
-        +. (float_of_int pa.Packet.size_bits.(pkt) /. w)
+        fmax (Vtime.v vt) last +. (float_of_int pa.Packet.size_bits.(pkt) /. w)
       in
       fl.last_finish.(flow) <- tag;
+      fl.fin_period.(flow) <- period;
       fl.qlen.(flow) <- fl.qlen.(flow) + 1;
       Kheap.push heap ~key:tag pkt;
       true

@@ -209,6 +209,53 @@ let test_series_dequeue_tap_budget () =
        hist add and ring store are in-place)"
       per
 
+let test_csz_idle_cycle_budget () =
+  (* A busy period's end must cost no more than any other dequeue, however
+     wide the per-flow tables.  A reservation at flow 8191 grows them to
+     8192 slots; driving that flow alone through an empty link makes every
+     enqueue+dequeue open and end a busy period.  Its words must not exceed
+     those of the micro bench's sched/CSZ cycle: a 32-deep standing queue
+     of predicted and datagram flows, never idle. *)
+  let cycle q ~flow_of =
+    let clock = ref 0. and seq = ref 0 in
+    per_n
+      (fun () ->
+        clock := !clock +. 1e-4;
+        incr seq;
+        let p = Packet.make ~flow:(flow_of !seq) ~seq:!seq ~created:0. () in
+        ignore (q.Qdisc.enqueue ~now:!clock p);
+        match q.Qdisc.dequeue ~now:!clock with
+        | Some served -> Packet.free served
+        | None -> Alcotest.fail "CSZ served nothing")
+      20_000
+  in
+  let standing =
+    let sched, q = Csz.Csz_sched.create ~pool:(Qdisc.unbounded_pool ()) () in
+    for f = 0 to 4 do
+      Csz.Csz_sched.add_guaranteed sched ~flow:(100 + f) ~clock_rate_bps:50_000.
+    done;
+    for f = 0 to 9 do
+      Csz.Csz_sched.set_predicted sched ~flow:f ~cls:(f mod 2)
+    done;
+    for i = 0 to 31 do
+      ignore
+        (q.Qdisc.enqueue ~now:0. (Packet.make ~flow:(i mod 16) ~seq:i ~created:0. ()))
+    done;
+    cycle q ~flow_of:(fun seq -> seq mod 16)
+  in
+  let idle =
+    let sched, q = Csz.Csz_sched.create ~pool:(Qdisc.unbounded_pool ()) () in
+    Csz.Csz_sched.add_guaranteed sched ~flow:8191 ~clock_rate_bps:50_000.;
+    let words = cycle q ~flow_of:(fun _ -> 8191) in
+    Alcotest.(check int) "every cycle drains the link" 0 (q.Qdisc.length ());
+    words
+  in
+  if idle > standing then
+    Alcotest.failf
+      "CSZ busy-period cycle: %.1f minor words (expected <= %.1f, the \
+       standing-queue cycle)"
+      idle standing
+
 let suite =
   [
     Alcotest.test_case "engine drain allocates nothing" `Quick
@@ -227,4 +274,6 @@ let suite =
       test_loghist_add_zero_alloc;
     Alcotest.test_case "series dequeue tap allocates nothing" `Quick
       test_series_dequeue_tap_budget;
+    Alcotest.test_case "csz busy-period cycle within budget" `Quick
+      test_csz_idle_cycle_budget;
   ]

@@ -648,33 +648,35 @@ let bound_audit_prop =
    identical accept decisions and dequeue order — any inherited weight,
    finish tag, class or retiring flag would diverge. *)
 
+let make_csz () = Csz.Csz_sched.create ~pool:(Qdisc.pool ~capacity:32) ()
+
+let csz_enq q ~now ~flow ~seq ~size =
+  let p = Packet.make ~flow ~seq ~size_bits:size ~created:now () in
+  let ok = q.Qdisc.enqueue ~now p in
+  if not ok then Packet.free p;
+  ok
+
+(* Serve everything queued, one packet per 0.7 ms from [now0]; the served
+   packets' ids in order. *)
+let csz_drain q now0 =
+  let now = ref now0 in
+  let out = ref [] in
+  let rec go () =
+    match q.Qdisc.dequeue ~now:!now with
+    | Some p ->
+        out := id_of p :: !out;
+        Packet.free p;
+        now := !now +. 0.0007;
+        go ()
+    | None -> ()
+  in
+  go ();
+  List.rev !out
+
 let test_recycled_flow_slot_is_pristine () =
-  let make_sched () =
-    Csz.Csz_sched.create ~pool:(Qdisc.pool ~capacity:32) ()
-  in
-  let sa, qa = make_sched () in
-  let sb, qb = make_sched () in
-  let enq q ~now ~flow ~seq ~size =
-    let p = Packet.make ~flow ~seq ~size_bits:size ~created:now () in
-    let ok = q.Qdisc.enqueue ~now p in
-    if not ok then Packet.free p;
-    ok
-  in
-  let drain q now0 =
-    let now = ref now0 in
-    let out = ref [] in
-    let rec go () =
-      match q.Qdisc.dequeue ~now:!now with
-      | Some p ->
-          out := id_of p :: !out;
-          Packet.free p;
-          now := !now +. 0.0007;
-          go ()
-      | None -> ()
-    in
-    go ();
-    List.rev !out
-  in
+  let sa, qa = make_csz () in
+  let sb, qb = make_csz () in
+  let enq = csz_enq and drain = csz_drain in
   let prior s q ~guest =
     Csz.Csz_sched.add_guaranteed s ~flow:guest ~clock_rate_bps:300_000.;
     for i = 0 to 4 do
@@ -722,6 +724,47 @@ let test_recycled_flow_slot_is_pristine () =
     (Csz.Csz_sched.guaranteed_reserved_bps sb)
     (Csz.Csz_sched.guaranteed_reserved_bps sa)
 
+(* --- A busy period's end forgets every finish tag ---
+
+   A guaranteed flow whose id (10_000) lies past every table growth step
+   runs its finish tag far ahead of virtual time, alongside datagrams that
+   do the same for flow 0; then the link drains.  After the idle, the
+   stale tags must read as zero: the same script must produce the same
+   accept decisions and dequeue order as on a fresh scheduler holding the
+   same reservations.  A surviving tag would hold flow 10_000 back behind
+   flow 2, or flow 0's datagrams behind both. *)
+
+let test_idle_forgets_finish_tags () =
+  let wide = 10_000 in
+  let used, qu = make_csz () in
+  let fresh, qf = make_csz () in
+  List.iter
+    (fun s -> Csz.Csz_sched.add_guaranteed s ~flow:wide ~clock_rate_bps:50_000.)
+    [ used; fresh ];
+  for i = 0 to 19 do
+    ignore (csz_enq qu ~now:0. ~flow:wide ~seq:i ~size:1000)
+  done;
+  for i = 20 to 29 do
+    ignore (csz_enq qu ~now:0. ~flow:8 ~seq:i ~size:4000)
+  done;
+  Alcotest.(check int) "prior phase served" 30 (List.length (csz_drain qu 0.));
+  let script s q =
+    Csz.Csz_sched.add_guaranteed s ~flow:2 ~clock_rate_bps:50_000.;
+    let accepts = ref [] in
+    let now = ref 1.0 in
+    for i = 0 to 39 do
+      let flow = match i mod 4 with 0 | 2 -> wide | 1 -> 2 | _ -> 8 in
+      accepts := csz_enq q ~now:!now ~flow ~seq:(100 + i) ~size:1000 :: !accepts;
+      now := !now +. 0.0001
+    done;
+    (List.rev !accepts, csz_drain q !now)
+  in
+  let acc_u, out_u = script used qu in
+  let acc_f, out_f = script fresh qf in
+  Alcotest.(check bool) "pool turned some away" true (List.mem false acc_f);
+  Alcotest.(check (list bool)) "accept decisions identical" acc_f acc_u;
+  Alcotest.(check (list (pair int int))) "dequeue order identical" out_f out_u
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -731,4 +774,6 @@ let suite =
   @ [
       Alcotest.test_case "recycled flow slot is pristine" `Quick
         test_recycled_flow_slot_is_pristine;
+      Alcotest.test_case "busy period end forgets finish tags" `Quick
+        test_idle_forgets_finish_tags;
     ]

@@ -1,7 +1,6 @@
 module Vtime = Ispn_sched.Vtime
 
-let make ?(on_reset = fun () -> ()) () =
-  Vtime.create ~link_rate_bps:1e6 ~on_reset
+let make () = Vtime.create ~link_rate_bps:1e6
 
 let close = Alcotest.check (Alcotest.float 1e-9)
 
@@ -34,26 +33,30 @@ let test_weight_changes_integrate_piecewise () =
   Vtime.advance vt ~now:3.;
   close "1 + 2 * 0.5" 2. (Vtime.v vt)
 
+let period = Alcotest.(check int)
+
 let test_busy_period_reset () =
-  let fired = ref 0 in
-  let vt = make ~on_reset:(fun () -> incr fired) () in
+  let vt = make () in
+  period "no period completed yet" 0 (Vtime.period vt);
   Vtime.flow_activated vt ~weight:1e6;
   Vtime.advance vt ~now:1.;
+  period "still in the first period" 0 (Vtime.period vt);
   Vtime.flow_deactivated vt ~now:1. ~weight:1e6;
-  Alcotest.(check int) "reset fired" 1 !fired;
+  period "period ended" 1 (Vtime.period vt);
   close "V back to zero" 0. (Vtime.v vt);
   (* A later busy period starts fresh. *)
   Vtime.flow_activated vt ~weight:1e6;
   Vtime.advance vt ~now:10.;
-  close "fresh integration" 9. (Vtime.v vt)
+  close "fresh integration" 9. (Vtime.v vt);
+  Vtime.flow_deactivated vt ~now:10. ~weight:1e6;
+  period "second period ended" 2 (Vtime.period vt)
 
 let test_no_reset_while_others_active () =
-  let fired = ref 0 in
-  let vt = make ~on_reset:(fun () -> incr fired) () in
+  let vt = make () in
   Vtime.flow_activated vt ~weight:4e5;
   Vtime.flow_activated vt ~weight:6e5;
   Vtime.flow_deactivated vt ~now:1. ~weight:4e5;
-  Alcotest.(check int) "no reset" 0 !fired;
+  period "no reset" 0 (Vtime.period vt);
   close "weight shrank" 6e5 (Vtime.active_weight vt)
 
 let test_adjust_active () =
@@ -61,6 +64,7 @@ let test_adjust_active () =
   Vtime.flow_activated vt ~weight:1e6;
   Vtime.advance vt ~now:1.;
   Vtime.adjust_active vt ~now:1. ~delta:(-5e5);
+  period "a partial adjustment keeps the period" 0 (Vtime.period vt);
   Vtime.advance vt ~now:2.;
   (* First second at rate 1, second second at rate 2. *)
   close "piecewise with adjustment" 3. (Vtime.v vt)
@@ -70,12 +74,11 @@ let test_renegotiate_to_zero () =
      used to leave [active_weight = 0.] with the busy period still "open",
      so the next [advance] divided by zero.  It must end the busy period
      exactly like [flow_deactivated] does. *)
-  let fired = ref 0 in
-  let vt = make ~on_reset:(fun () -> incr fired) () in
+  let vt = make () in
   Vtime.flow_activated vt ~weight:1e6;
   Vtime.advance vt ~now:1.;
   Vtime.adjust_active vt ~now:1. ~delta:(-1e6);
-  Alcotest.(check int) "reset fired" 1 !fired;
+  period "period ended" 1 (Vtime.period vt);
   close "V back to zero" 0. (Vtime.v vt);
   close "weight cleared" 0. (Vtime.active_weight vt);
   (* The clock is idle and a later busy period starts fresh. *)
@@ -89,11 +92,10 @@ let test_adjust_epsilon_residue () =
   (* Float renegotiation arithmetic can leave a sub-epsilon residue instead
      of an exact zero; that residue must also end the busy period rather
      than surviving as a near-zero weight that sends dV/dt to infinity. *)
-  let fired = ref 0 in
-  let vt = make ~on_reset:(fun () -> incr fired) () in
+  let vt = make () in
   Vtime.flow_activated vt ~weight:1e6;
   Vtime.adjust_active vt ~now:0.5 ~delta:(-1e6 +. 1e-9);
-  Alcotest.(check int) "residue treated as zero" 1 !fired;
+  period "residue treated as zero" 1 (Vtime.period vt);
   close "weight cleared" 0. (Vtime.active_weight vt);
   Vtime.advance vt ~now:5.;
   close "idle after clamp" 0. (Vtime.v vt)
