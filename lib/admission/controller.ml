@@ -80,7 +80,9 @@ type sum = { mutable total : float }
 
 let nu_hat t ls =
   let acc = { total = 0. } in
-  Hashtbl.iter (fun _ (rate, _) -> acc.total <- acc.total +. rate) ls.unmeasured;
+  Hashtbl.iter
+    (fun _ (rate, _) -> acc.total <- acc.total +. rate)
+    ls.unmeasured;
   Meter.util_hat ls.meter +. (acc.total /. t.mu)
 
 (* Criterion (1): real-time load incl. the newcomer stays under the quota

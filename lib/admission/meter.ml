@@ -29,10 +29,9 @@ let rotate t =
   t.util.(t.cursor) <- 0.;
   Array.fill t.delay.(t.cursor) 0 t.n_classes 0.
 
-(* The two window maxima are loops over a local float, which stays
-   unboxed, rather than [Array.fold_left] with a boxed accumulator.
-   Keeping [m] unless [m >= x] is [Stdlib.max]'s own test, so the results
-   are bit-identical. *)
+(* The window maxima loop over a local float, which stays unboxed (a fold
+   would box its accumulator on every step).  Keeping [m] unless [m >= x]
+   is [Stdlib.max]'s own test, so NaN and signed zeros resolve as with it. *)
 let util_hat t =
   let m = ref 0. in
   for i = 0 to t.epochs - 1 do

@@ -238,8 +238,8 @@ let test_csz_idle_cycle_budget () =
       Csz.Csz_sched.set_predicted sched ~flow:f ~cls:(f mod 2)
     done;
     for i = 0 to 31 do
-      ignore
-        (q.Qdisc.enqueue ~now:0. (Packet.make ~flow:(i mod 16) ~seq:i ~created:0. ()))
+      let p = Packet.make ~flow:(i mod 16) ~seq:i ~created:0. () in
+      ignore (q.Qdisc.enqueue ~now:0. p)
     done;
     cycle q ~flow_of:(fun seq -> seq mod 16)
   in

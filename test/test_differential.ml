@@ -754,7 +754,8 @@ let test_idle_forgets_finish_tags () =
     let now = ref 1.0 in
     for i = 0 to 39 do
       let flow = match i mod 4 with 0 | 2 -> wide | 1 -> 2 | _ -> 8 in
-      accepts := csz_enq q ~now:!now ~flow ~seq:(100 + i) ~size:1000 :: !accepts;
+      let ok = csz_enq q ~now:!now ~flow ~seq:(100 + i) ~size:1000 in
+      accepts := ok :: !accepts;
       now := !now +. 0.0001
     done;
     (List.rev !accepts, csz_drain q !now)
