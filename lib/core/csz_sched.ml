@@ -38,6 +38,17 @@ type g_flows = {
 
 type class_state = { heap : Packet.t Kheap.t; avg : Ewma.t }
 
+(* The scheduler's mutable floats, in their own all-float record so every
+   store is unboxed (as mutable float fields of [t] each store would box a
+   fresh float); the same split as [Vtime.state]. *)
+type fstate = {
+  mutable g_weight_sum : float;
+  mutable head_deadline : float;  (* flow 0's committed packet's key *)
+  mutable head_start : float;  (* virtual start of flow 0's service slot *)
+  mutable f0_last : float;
+  mutable last_now : float;  (* latest clock seen; for weight adjustments *)
+}
+
 type t = {
   cfg : config;
   pa : Packet.arena;  (* this domain's packet arena, bound at create *)
@@ -45,7 +56,7 @@ type t = {
   gf : g_flows;
   g_heap : Packet.t Kheap.t;
   mutable g_count : int;  (* guaranteed packets queued *)
-  mutable g_weight_sum : float;
+  fs : fstate;
   classes : class_state array;  (* K predicted + 1 datagram *)
   mutable flow_cls : int array;  (* predicted class per flow; -1 = none *)
   dummy : Packet.t;  (* fills vacated slots; never transmitted *)
@@ -53,26 +64,26 @@ type t = {
      re-examining the commitment on every dequeue allocates nothing. *)
   mutable head_valid : bool;
   mutable head_pkt : Packet.t;  (* dummy when not valid *)
-  mutable head_deadline : float;
   mutable head_seq : int;  (* tie-break rank in its class heap *)
   mutable head_cls : int;
-  mutable head_start : float;  (* virtual start of flow 0's service slot *)
-  mutable f0_last : float;
-  mutable f0_period : int;  (* busy period [f0_last] was written in *)
+  mutable f0_period : int;  (* busy period [fs.f0_last] was written in *)
   mutable f0_backlog : int;  (* flow-0 packets queued, head included *)
   vt : Vtime.t;
+  vs : Vtime.state;  (* [vt]'s floats, read without boxing *)
+  cell : float array;
+      (* one slot: a key or delay handed to [Kheap]/[Ewma], which would
+         box it as a float argument *)
   mutable late_discards : int;
   mutable realtime_bits : int;
   mutable datagram_bits : int;
   mutable delay_hook : (cls:int -> float -> unit) option;
-  mutable last_now : float;  (* latest clock seen; for weight adjustments *)
   offset_dists : Ispn_util.Stats.t option array;
       (* per predicted class; Some only when metrics are attached *)
 }
 
 let datagram_class t = t.cfg.n_predicted_classes
-let flow0_rate_bps t = t.cfg.link_rate_bps -. t.g_weight_sum
-let guaranteed_reserved_bps t = t.g_weight_sum
+let[@inline] flow0_rate_bps t = t.cfg.link_rate_bps -. t.fs.g_weight_sum
+let guaranteed_reserved_bps t = t.fs.g_weight_sum
 let late_discards t = t.late_discards
 let realtime_bits_sent t = t.realtime_bits
 let datagram_bits_sent t = t.datagram_bits
@@ -85,7 +96,7 @@ let class_avg_delay t ~cls =
 
 (* Guaranteed lookup: a flow beyond the array has never held a
    reservation. *)
-let g_weight_of t flow =
+let[@inline] g_weight_of t flow =
   if flow < Array.length t.gf.g_weight then t.gf.g_weight.(flow) else 0.
 
 let grow_g t n =
@@ -131,51 +142,57 @@ let f0_active t = t.f0_backlog > 0
    it belongs to flow 0, not to the particular packet. *)
 let commit_head t c =
   let heap = t.classes.(c).heap in
-  t.head_deadline <- Kheap.min_key_exn heap;
+  Kheap.min_key_into heap t.cell 0;
+  t.fs.head_deadline <- t.cell.(0);
   t.head_seq <- Kheap.min_seq_exn heap;
   t.head_pkt <- Kheap.pop_exn heap;
   t.head_cls <- c;
   t.head_valid <- true
 
+(* The highest-priority backlogged class, or -1.  A loop, not a local
+   recursive function: that would allocate its closure on every dequeue. *)
+let best_class t =
+  let n = t.cfg.n_predicted_classes in
+  let c = ref 0 in
+  while !c <= n && Kheap.is_empty t.classes.(!c).heap do
+    incr c
+  done;
+  if !c > n then -1 else !c
+
 let refresh_head t ~now =
-  let best =
-    let rec find c =
-      if c > t.cfg.n_predicted_classes then -1
-      else if Kheap.length t.classes.(c).heap > 0 then c
-      else find (c + 1)
-    in
-    find 0
-  in
+  let best = best_class t in
   if best >= 0 then
     if not t.head_valid then begin
       commit_head t best;
       Vtime.advance t.vt ~now;
       let last =
-        if t.f0_period = Vtime.period t.vt then t.f0_last else 0.
+        if t.f0_period = Vtime.period t.vt then t.fs.f0_last else 0.
       in
-      t.head_start <- fmax (Vtime.v t.vt) last
+      t.fs.head_start <- fmax t.vs.Vtime.v last
     end
     else if best < t.head_cls then begin
       (* Demote the committed packet; promote the higher-priority one. *)
-      Kheap.push_pinned t.classes.(t.head_cls).heap ~key:t.head_deadline
+      Kheap.push_pinned t.classes.(t.head_cls).heap ~key:t.fs.head_deadline
         ~seq:t.head_seq t.head_pkt;
       commit_head t best
     end
 
-let head_tag t =
-  t.head_start
+let[@inline] head_tag t =
+  t.fs.head_start
   +. (float_of_int t.pa.Packet.size_bits.(t.head_pkt) /. flow0_rate_bps t)
 
 let serve_flow0 t ~now =
   let pkt = t.head_pkt in
   let cls = t.head_cls in
-  t.f0_last <- head_tag t;
+  t.fs.f0_last <- head_tag t;
   t.f0_period <- Vtime.period t.vt;
   t.head_valid <- false;
   t.head_pkt <- t.dummy;
   t.f0_backlog <- t.f0_backlog - 1;
-  if t.f0_backlog = 0 then
-    Vtime.flow_deactivated t.vt ~now ~weight:(flow0_rate_bps t);
+  if t.f0_backlog = 0 then begin
+    t.cell.(0) <- flow0_rate_bps t;
+    Vtime.flow_deactivated_from t.vt ~now t.cell 0
+  end;
   Qdisc.pool_release t.pool;
   let pa = t.pa in
   let delay = now -. pa.Packet.enqueued_at.(pkt) in
@@ -184,11 +201,12 @@ let serve_flow0 t ~now =
        average in the packet header, then update the average. *)
     let st = t.classes.(cls) in
     pa.Packet.offset.(pkt) <-
-      pa.Packet.offset.(pkt) +. (delay -. Ewma.value st.avg);
-    Ewma.update st.avg delay;
+      pa.Packet.offset.(pkt) +. (delay -. st.avg.Ewma.avg);
+    t.cell.(0) <- delay;
+    Ewma.update_from st.avg t.cell 0;
     (match t.offset_dists.(cls) with
     | None -> ()
-    | Some d -> Ispn_util.Stats.add d pa.Packet.offset.(pkt));
+    | Some d -> Ispn_util.Stats.add_from d pa.Packet.offset pkt);
     t.realtime_bits <- t.realtime_bits + pa.Packet.size_bits.(pkt)
   end
   else t.datagram_bits <- t.datagram_bits + pa.Packet.size_bits.(pkt);
@@ -203,13 +221,13 @@ let serve_guaranteed t ~now =
   gf.g_qlen.(flow) <- q;
   t.g_count <- t.g_count - 1;
   if q = 0 then begin
-    let weight = gf.g_weight.(flow) in
-    Vtime.flow_deactivated t.vt ~now ~weight;
+    Vtime.flow_deactivated_from t.vt ~now gf.g_weight flow;
     if gf.g_retiring.(flow) then begin
+      let weight = gf.g_weight.(flow) in
       gf.g_weight.(flow) <- 0.;
       gf.g_retiring.(flow) <- false;
       gf.g_fin.(flow) <- 0.;
-      t.g_weight_sum <- t.g_weight_sum -. weight;
+      t.fs.g_weight_sum <- t.fs.g_weight_sum -. weight;
       if f0_active t then Vtime.adjust_active t.vt ~now ~delta:weight
     end
   end;
@@ -221,7 +239,7 @@ let serve_guaranteed t ~now =
   Some pkt
 
 let enqueue t ~now pkt =
-  t.last_now <- fmax t.last_now now;
+  t.fs.last_now <- fmax t.fs.last_now now;
   t.pa.Packet.enqueued_at.(pkt) <- now;
   let flow = t.pa.Packet.flow.(pkt) in
   let gw = g_weight_of t flow in
@@ -229,20 +247,19 @@ let enqueue t ~now pkt =
     if Qdisc.pool_take t.pool then begin
       Vtime.advance t.vt ~now;
       let gf = t.gf in
-      if gf.g_qlen.(flow) = 0 then Vtime.flow_activated t.vt ~weight:gw;
+      if gf.g_qlen.(flow) = 0 then
+        Vtime.flow_activated_from t.vt gf.g_weight flow;
       let period = Vtime.period t.vt in
       let last =
         if gf.g_fin_period.(flow) = period then gf.g_fin.(flow) else 0.
       in
-      let tag =
-        fmax (Vtime.v t.vt) last
-        +. (float_of_int t.pa.Packet.size_bits.(pkt) /. gw)
-      in
-      gf.g_fin.(flow) <- tag;
+      gf.g_fin.(flow) <-
+        fmax t.vs.Vtime.v last
+        +. (float_of_int t.pa.Packet.size_bits.(pkt) /. gw);
       gf.g_fin_period.(flow) <- period;
       gf.g_qlen.(flow) <- gf.g_qlen.(flow) + 1;
       t.g_count <- t.g_count + 1;
-      Kheap.push t.g_heap ~key:tag pkt;
+      Kheap.push_from t.g_heap gf.g_fin flow pkt;
       true
     end
     else false
@@ -265,11 +282,12 @@ let enqueue t ~now pkt =
     end
     else if Qdisc.pool_take t.pool then begin
       Vtime.advance t.vt ~now;
-      if not (f0_active t) then
-        Vtime.flow_activated t.vt ~weight:(flow0_rate_bps t);
-      Kheap.push t.classes.(cls).heap
-        ~key:(t.pa.Packet.enqueued_at.(pkt) -. t.pa.Packet.offset.(pkt))
-        pkt;
+      if not (f0_active t) then begin
+        t.cell.(0) <- flow0_rate_bps t;
+        Vtime.flow_activated_from t.vt t.cell 0
+      end;
+      t.cell.(0) <- t.pa.Packet.enqueued_at.(pkt) -. t.pa.Packet.offset.(pkt);
+      Kheap.push_from t.classes.(cls).heap t.cell 0 pkt;
       t.f0_backlog <- t.f0_backlog + 1;
       true
     end
@@ -277,15 +295,17 @@ let enqueue t ~now pkt =
   end
 
 let dequeue t ~now =
-  t.last_now <- fmax t.last_now now;
+  t.fs.last_now <- fmax t.fs.last_now now;
   Vtime.advance t.vt ~now;
   refresh_head t ~now;
   if not t.head_valid then
     if Kheap.is_empty t.g_heap then None else serve_guaranteed t ~now
   else if Kheap.is_empty t.g_heap then serve_flow0 t ~now
-  else if Kheap.min_key_exn t.g_heap <= head_tag t then
-    serve_guaranteed t ~now
-  else serve_flow0 t ~now
+  else begin
+    Kheap.min_key_into t.g_heap t.cell 0;
+    if t.cell.(0) <= head_tag t then serve_guaranteed t ~now
+    else serve_flow0 t ~now
+  end
 
 let length t = t.g_count + t.f0_backlog
 
@@ -293,6 +313,7 @@ let create ?(config = default_config) ?metrics ?(label = "0") ~pool () =
   assert (config.link_rate_bps > 0. && config.n_predicted_classes >= 1);
   let n = config.n_predicted_classes + 1 in
   let dummy = Packet.dummy () in
+  let vt = Vtime.create ~link_rate_bps:config.link_rate_bps in
   let t =
     {
       cfg = config;
@@ -308,7 +329,14 @@ let create ?(config = default_config) ?metrics ?(label = "0") ~pool () =
         };
       g_heap = Kheap.create ~capacity:64 ~dummy ();
       g_count = 0;
-      g_weight_sum = 0.;
+      fs =
+        {
+          g_weight_sum = 0.;
+          head_deadline = 0.;
+          head_start = 0.;
+          f0_last = 0.;
+          last_now = 0.;
+        };
       classes =
         Array.init n (fun _ ->
             {
@@ -319,19 +347,17 @@ let create ?(config = default_config) ?metrics ?(label = "0") ~pool () =
       dummy;
       head_valid = false;
       head_pkt = dummy;
-      head_deadline = 0.;
       head_seq = 0;
       head_cls = 0;
-      head_start = 0.;
-      f0_last = 0.;
       f0_period = 0;
       f0_backlog = 0;
-      vt = Vtime.create ~link_rate_bps:config.link_rate_bps;
+      vt;
+      vs = Vtime.state vt;
+      cell = [| 0. |];
       late_discards = 0;
       realtime_bits = 0;
       datagram_bits = 0;
       delay_hook = None;
-      last_now = 0.;
       offset_dists =
         Array.init config.n_predicted_classes (fun c ->
             match metrics with
@@ -348,7 +374,7 @@ let create ?(config = default_config) ?metrics ?(label = "0") ~pool () =
       let module M = Ispn_obs.Metrics in
       let p = "csz." ^ label in
       M.register_float m (p ^ ".vtime") (fun () -> Vtime.v t.vt);
-      M.register_float m (p ^ ".reserved_bps") (fun () -> t.g_weight_sum);
+      M.register_float m (p ^ ".reserved_bps") (fun () -> t.fs.g_weight_sum);
       M.register_float m (p ^ ".flow0_rate_bps") (fun () -> flow0_rate_bps t);
       M.register_int m (p ^ ".late_discards") (fun () -> t.late_discards);
       M.register_int m (p ^ ".realtime_bits") (fun () -> t.realtime_bits);
@@ -376,9 +402,9 @@ let create ?(config = default_config) ?metrics ?(label = "0") ~pool () =
 let resize_flow0 t ~delta_reserved =
   if f0_active t then begin
     (* Flow 0's weight moves opposite to the reserved sum. *)
-    Vtime.adjust_active t.vt ~now:t.last_now ~delta:(-.delta_reserved)
+    Vtime.adjust_active t.vt ~now:t.fs.last_now ~delta:(-.delta_reserved)
   end;
-  t.g_weight_sum <- t.g_weight_sum +. delta_reserved
+  t.fs.g_weight_sum <- t.fs.g_weight_sum +. delta_reserved
 
 let add_guaranteed t ~flow ~clock_rate_bps =
   if clock_rate_bps <= 0. then
@@ -387,7 +413,7 @@ let add_guaranteed t ~flow ~clock_rate_bps =
     invalid_arg
       (Printf.sprintf "Csz_sched.add_guaranteed: flow %d already guaranteed"
          flow);
-  if t.g_weight_sum +. clock_rate_bps >= t.cfg.link_rate_bps then
+  if t.fs.g_weight_sum +. clock_rate_bps >= t.cfg.link_rate_bps then
     invalid_arg "Csz_sched.add_guaranteed: flow 0 would have no bandwidth";
   if flow < Array.length t.flow_cls then t.flow_cls.(flow) <- -1;
   resize_flow0 t ~delta_reserved:clock_rate_bps;

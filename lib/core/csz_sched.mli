@@ -53,7 +53,7 @@ val create :
     [.late_discards], [.realtime_bits], [.datagram_bits], [.g_backlog],
     [.f0_backlog], per-class [.class.<c>.avg_delay] and [.class.<c>.len],
     plus a push distribution [.class.<c>.offset.*] of the jitter offset
-    each departing predicted-class packet carries (one [Stats.add] per
+    each departing predicted-class packet carries (one [Stats.add_from] per
     dequeue; a single [option] branch when metrics are off). *)
 
 (** {2 Flow management}

@@ -230,11 +230,10 @@ let wipe_hop t ~link ~flow =
 let send_ctrl t ~at_switch ~over_link token =
   t.control_packets <- t.control_packets + 1;
   let pkt =
-    Packet.make
+    Packet.alloc
       ~flow:(ctrl_flow_base + over_link)
-      ~seq:token ~size_bits:control_packet_bits
+      ~seq:token ~size_bits:control_packet_bits ~kind:Packet.Data
       ~created:(Engine.now (engine t))
-      ()
   in
   Fabric.inject t.fab ~at_switch pkt
 

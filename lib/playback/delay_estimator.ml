@@ -21,6 +21,6 @@ let estimate t =
   else begin
     let live = Stdlib.min t.n t.window in
     let a = Array.sub t.buf 0 live in
-    Array.sort compare a;
+    Ispn_util.Fvec.sort a;
     t.margin +. Ispn_util.Quantile.of_sorted a t.quantile
   end

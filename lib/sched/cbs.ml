@@ -1,12 +1,15 @@
 open Ispn_sim
 module Ring = Ispn_util.Ring
 
-type cls = {
-  queue : Packet.t Ring.t;
+(* A class's floats, in an all-float record so the per-packet credit
+   updates store unboxed. *)
+type credit = {
   slope : float;  (* idleSlope, bit/s *)
   mutable credit : float;  (* bits *)
   mutable last : float;  (* sim time of the last credit update *)
 }
+
+type cls = { queue : Packet.t Ring.t; cr : credit }
 
 (* IEEE 802.1Q Credit-Based Shaper: strict priority across classes (index
    0 highest), each class gated by a credit that accrues at idleSlope
@@ -33,15 +36,15 @@ let create ~engine ~pool ~idle_slopes_bps ~class_of () =
     Array.map
       (fun slope ->
         { queue = Ring.create ~capacity:64 ~dummy:(Packet.dummy ()) ();
-          slope; credit = 0.; last = 0. })
+          cr = { slope; credit = 0.; last = 0. } })
       idle_slopes_bps
   in
   let total = ref 0 in
   let waker = ref (fun () -> ()) in
   let wake_armed = ref false in
-  let touch c ~now =
+  let touch { queue; cr = c } ~now =
     if now > c.last then begin
-      if not (Ring.is_empty c.queue) then
+      if not (Ring.is_empty queue) then
         c.credit <- c.credit +. (c.slope *. (now -. c.last))
       else if c.credit < 0. then
         (* Idle recovery stops at zero: an idle class banks no credit. *)
@@ -71,10 +74,10 @@ let create ~engine ~pool ~idle_slopes_bps ~class_of () =
         (* -1e-6 bits of slack: [now +. d] rounds on the waker path, so a
            recovered credit can land ~1e-8 bits shy of zero; without the
            slack the re-armed waker can stall on one timestamp forever. *)
-        if (not (Ring.is_empty c.queue)) && c.credit >= -1e-6 then begin
+        if (not (Ring.is_empty c.queue)) && c.cr.credit >= -1e-6 then begin
           let pkt = Ring.pop_exn c.queue in
-          c.credit <- c.credit -. float pa.Packet.size_bits.(pkt);
-          if Ring.is_empty c.queue && c.credit > 0. then c.credit <- 0.;
+          c.cr.credit <- c.cr.credit -. float pa.Packet.size_bits.(pkt);
+          if Ring.is_empty c.queue && c.cr.credit > 0. then c.cr.credit <- 0.;
           decr total;
           Qdisc.pool_release pool;
           Some pkt
@@ -96,7 +99,7 @@ let create ~engine ~pool ~idle_slopes_bps ~class_of () =
                even when the remaining deficit underflows the float grid. *)
             at :=
               Float.min !at
-                (now +. Float.max (-.c.credit /. c.slope) 1e-9)
+                (now +. Float.max (-.c.cr.credit /. c.cr.slope) 1e-9)
         done;
         wake_armed := true;
         ignore

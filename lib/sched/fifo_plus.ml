@@ -26,6 +26,9 @@ let create ?(ewma_gain = 1. /. 4096.) ?discard_late_above ?metrics
   let pa = Packet.arena () in
   (* Ranked by expected arrival time; FIFO on ties (Kheap's stamp). *)
   let heap = Kheap.create ~capacity:64 ~dummy:(Packet.dummy ()) () in
+  (* One slot for the key or delay handed to [Kheap]/[Ewma]: as a float
+     argument it would be boxed. *)
+  let cell = [| 0. |] in
   let enqueue ~now pkt =
     pa.Packet.enqueued_at.(pkt) <- now;
     let late =
@@ -38,7 +41,8 @@ let create ?(ewma_gain = 1. /. 4096.) ?discard_late_above ?metrics
       false
     end
     else if Qdisc.pool_take pool then begin
-      Kheap.push heap ~key:(pa.Packet.enqueued_at.(pkt) -. pa.Packet.offset.(pkt)) pkt;
+      cell.(0) <- pa.Packet.enqueued_at.(pkt) -. pa.Packet.offset.(pkt);
+      Kheap.push_from heap cell 0 pkt;
       true
     end
     else false
@@ -52,11 +56,12 @@ let create ?(ewma_gain = 1. /. 4096.) ?discard_late_above ?metrics
       (* Accumulate this hop's deviation from the class average into the
          header field, then fold the observation into the average. *)
       pa.Packet.offset.(pkt) <-
-        pa.Packet.offset.(pkt) +. (delay -. Ispn_util.Ewma.value st.avg);
-      Ispn_util.Ewma.update st.avg delay;
+        pa.Packet.offset.(pkt) +. (delay -. st.avg.Ispn_util.Ewma.avg);
+      cell.(0) <- delay;
+      Ispn_util.Ewma.update_from st.avg cell 0;
       (match offsets with
       | None -> ()
-      | Some d -> Ispn_util.Stats.add d pa.Packet.offset.(pkt));
+      | Some d -> Ispn_util.Stats.add_from d pa.Packet.offset pkt);
       Some pkt
     end
   in

@@ -45,5 +45,5 @@ val create :
     (label defaults to ["0"]): pull gauges [.avg_delay] and [.discarded],
     plus a push distribution [.offset.{count,mean,min,max}] of the
     jitter-offset each departing packet carries away.  The offset push is
-    one [Stats.add] per dequeue, skipped by a single branch when metrics
+    one [Stats.add_from] per dequeue, skipped by a single branch when metrics
     are off. *)

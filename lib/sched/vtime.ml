@@ -23,7 +23,7 @@ let create ~link_rate_bps =
     period = 0;
   }
 
-let advance t ~now =
+let[@inline] advance t ~now =
   let s = t.s in
   if now > s.last_update then begin
     if s.active_weight > 0. then
@@ -32,6 +32,7 @@ let advance t ~now =
   end
 
 let v t = t.s.v
+let state t = t.s
 let period t = t.period
 
 (* End of the busy period: restart the virtual clock.  Per-flow finish tags
@@ -42,17 +43,23 @@ let end_period t =
   t.s.active_weight <- 0.;
   t.period <- t.period + 1
 
-let flow_activated t ~weight =
+let[@inline] flow_activated t ~weight =
   assert (weight > 0.);
   t.s.active_weight <- t.s.active_weight +. weight;
   t.active_count <- t.active_count + 1
 
-let flow_deactivated t ~now ~weight =
+let flow_activated_from t (a : float array) i =
+  flow_activated t ~weight:a.(i)
+
+let[@inline] flow_deactivated t ~now ~weight =
   advance t ~now;
   t.s.active_weight <- t.s.active_weight -. weight;
   t.active_count <- t.active_count - 1;
   assert (t.active_count >= 0);
   if t.active_count = 0 then end_period t
+
+let flow_deactivated_from t ~now (a : float array) i =
+  flow_deactivated t ~now ~weight:a.(i)
 
 (* Weights are clock rates in bits/s (>= 1 in every configuration), so
    anything this small is float drift, not a real remaining reservation. *)

@@ -18,6 +18,17 @@
 
 type t
 
+type state = private {
+  mutable v : float;
+  mutable last_update : float;
+  mutable active_weight : float;
+}
+(** The clock's floats, an all-float record: a per-packet caller reads
+    [(state t).v] as an unboxed load where {!v} boxes its result. *)
+
+val state : t -> state
+(** The same record for the life of [t]; bind it once. *)
+
 val create : link_rate_bps:float -> t
 
 val advance : t -> now:float -> unit
@@ -37,6 +48,12 @@ val flow_activated : t -> weight:float -> unit
 val flow_deactivated : t -> now:float -> weight:float -> unit
 (** A flow drained.  When the last flow deactivates the busy period ends:
     [V] resets to 0 and {!period} grows by one. *)
+
+val flow_activated_from : t -> float array -> int -> unit
+val flow_deactivated_from : t -> now:float -> float array -> int -> unit
+(** The two calls above with [weight] read from [a.(i)] — a per-flow
+    weight array, or a one-slot cell — since a float argument to a
+    function of another module is boxed. *)
 
 val adjust_active : t -> now:float -> delta:float -> unit
 (** Change the weight of a currently-active flow in place (the unified

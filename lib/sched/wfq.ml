@@ -47,6 +47,7 @@ let create ?metrics ?(label = "0") ~pool ~link_rate_bps ~weight_of () =
   let pa = Packet.arena () in
   let heap = Kheap.create ~capacity:64 ~dummy:(Packet.dummy ()) () in
   let vt = Vtime.create ~link_rate_bps in
+  let vs = Vtime.state vt in
   (match metrics with
   | None -> ()
   | Some m ->
@@ -70,18 +71,18 @@ let create ?metrics ?(label = "0") ~pool ~link_rate_bps ~weight_of () =
       if flow >= Array.length fl.weight then grow fl (flow + 1);
       let w = fl.weight.(flow) in
       let w = if w > 0. then w else register flow in
-      if fl.qlen.(flow) = 0 then Vtime.flow_activated vt ~weight:w;
+      if fl.qlen.(flow) = 0 then Vtime.flow_activated_from vt fl.weight flow;
       let period = Vtime.period vt in
       let last =
         if fl.fin_period.(flow) = period then fl.last_finish.(flow) else 0.
       in
-      let tag =
-        fmax (Vtime.v vt) last +. (float_of_int pa.Packet.size_bits.(pkt) /. w)
-      in
-      fl.last_finish.(flow) <- tag;
+      (* The tag goes to the heap from its array slot: as a float argument
+         it would be boxed. *)
+      fl.last_finish.(flow) <-
+        fmax vs.Vtime.v last +. (float_of_int pa.Packet.size_bits.(pkt) /. w);
       fl.fin_period.(flow) <- period;
       fl.qlen.(flow) <- fl.qlen.(flow) + 1;
-      Kheap.push heap ~key:tag pkt;
+      Kheap.push_from heap fl.last_finish flow pkt;
       true
     end
     else false
@@ -94,7 +95,7 @@ let create ?metrics ?(label = "0") ~pool ~link_rate_bps ~weight_of () =
       let flow = pa.Packet.flow.(pkt) in
       let q = fl.qlen.(flow) - 1 in
       fl.qlen.(flow) <- q;
-      if q = 0 then Vtime.flow_deactivated vt ~now ~weight:fl.weight.(flow);
+      if q = 0 then Vtime.flow_deactivated_from vt ~now fl.weight flow;
       Some pkt
     end
   in

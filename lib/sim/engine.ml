@@ -24,10 +24,10 @@ let wheel_tick = 1e-6
 (* The clock sits in its own all-float record so updating it stores an
    unboxed float; as a mutable float field of the mixed record below every
    [fire] would box a fresh float. *)
-type fclock = { mutable v : float }
+type clock = { mutable v : float }
 
 type t = {
-  clock : fclock;
+  clock : clock;
   mutable live : int;
   mutable live_hwm : int;
   mutable fired : int;
@@ -72,6 +72,7 @@ let create () =
 let stats t = { events_fired = t.fired; cancels_skipped = t.skipped }
 
 let now t = t.clock.v
+let clock t = t.clock
 
 let grow_arena t =
   let old = Array.length t.times in
@@ -130,12 +131,15 @@ let schedule_after t ~delay action =
   t.times.(idx) <- t.clock.v +. delay;
   finish_schedule t idx action
 
+(* Negative, so [cancel] never mistakes it for a slot's handle. *)
+let no_handle = -1
+
 (* A live slot's generation matches its outstanding handle; firing or
    cancelling bumps it, so the second of the two (and any later cancel)
    sees a mismatch and does nothing. *)
 let cancel t h =
   let idx = h land idx_mask in
-  if t.gens.(idx) lsl idx_bits lor idx = h then begin
+  if h >= 0 && t.gens.(idx) lsl idx_bits lor idx = h then begin
     t.gens.(idx) <- t.gens.(idx) + 1;
     t.actions.(idx) <- nop;
     t.live <- t.live - 1

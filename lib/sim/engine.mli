@@ -20,6 +20,15 @@ val create : unit -> t
 val now : t -> float
 (** Current simulation time in seconds. *)
 
+type clock = private { mutable v : float }
+(** The clock itself, read-only: [(clock t).v] is the current time as an
+    unboxed load, where {!now} boxes its result (two minor words) when
+    called from another module.  For per-packet code that only computes
+    with the time. *)
+
+val clock : t -> clock
+(** The same record for the life of [t]; bind it once. *)
+
 val schedule : t -> at:float -> (unit -> unit) -> handle
 (** [schedule t ~at f] runs [f] when the clock reaches [at].  Raises
     [Invalid_argument] if [at] is in the past. *)
@@ -30,6 +39,11 @@ val schedule_after : t -> delay:float -> (unit -> unit) -> handle
 
 val cancel : t -> handle -> unit
 (** Cancelling an already-fired or already-cancelled event is a no-op. *)
+
+val no_handle : handle
+(** Names no event; cancelling it is a no-op.  Lets a holder of at most
+    one pending event (a retransmission timer) keep a plain [handle]
+    field instead of allocating a [Some] per arming. *)
 
 val pending : t -> int
 (** Number of live (non-cancelled) events still queued. *)

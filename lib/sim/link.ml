@@ -1,5 +1,10 @@
 module Recorder = Ispn_obs.Recorder
 
+(* Mutable float state in its own all-float record, so the per-
+   transmission update stores an unboxed float (a mutable float field of
+   the mixed record below would box one per packet). *)
+type fstate = { mutable busy_time : float }
+
 type t = {
   engine : Engine.t;
   pa : Packet.arena;  (* this domain's packet arena, bound at create *)
@@ -20,9 +25,28 @@ type t = {
   mutable drops_buffer : int;
   mutable drops_down : int;
   mutable drops_wire : int;
-  mutable busy_time : float;
+  f : fstate;
   waits : Ispn_util.Stats.t;
+  wait_cell : float array;  (* this hop's wait, handed to [waits] *)
+  (* [tx_time] is the transmission time of a [tx_bits]-bit packet, boxed
+     once: [Engine.schedule_after] takes its delay boxed, and nearly every
+     packet on a link has the same size, so the box is reused rather than
+     made per packet. *)
+  mutable tx_bits : int;
+  mutable tx_time : float;
+  (* The transmitter serializes one packet at a time, so a single
+     [on_finish] event action, built at [create], serves every
+     transmission by reading [tx_pkt].  The propagation delay is constant,
+     so deliveries fire in the order they were scheduled: [in_flight]
+     holds the propagating packets oldest first and the one [on_arrive]
+     action pops its head. *)
+  mutable tx_pkt : Packet.t;
+  in_flight : Packet.t Ispn_util.Ring.t;
+  mutable on_finish : unit -> unit;
+  mutable on_arrive : unit -> unit;
 }
+
+let fmax (a : float) b = if a >= b then a else b
 
 let set_receiver t f = t.receiver <- Some f
 let name t = t.link_name
@@ -39,7 +63,9 @@ let add_tap t tap =
 let set_wire_filter t f = t.wire_filter <- Some f
 let is_up t = t.up
 
-let record t pkt ~kind ~value ~cause =
+(* Inlined so a computed [value] is boxed only when a recorder is
+   attached. *)
+let[@inline] record t pkt ~kind ~value ~cause =
   match t.recorder with
   | None -> ()
   | Some r ->
@@ -62,27 +88,29 @@ let drop t pkt ~cause =
   (* A drop is terminal: nothing downstream will see the handle again. *)
   Packet.free pkt
 
-let deliver t pkt =
-  let filtered =
-    match t.wire_filter with None -> Some pkt | Some f -> f pkt
-  in
-  match filtered with
-  | None -> drop t pkt ~cause:Recorder.Wire
-  | Some pkt -> (
-      record t pkt ~kind:Recorder.Deliver ~value:t.pa.Packet.qdelay_total.(pkt)
-        ~cause:Recorder.No_cause;
-      (match t.tap with
-      | None -> ()
-      | Some tp ->
-          tp.Tap.on_deliver ~link:t.id ~now:(Engine.now t.engine) pkt);
-      match t.receiver with
-      | Some f -> f pkt
-      | None -> failwith ("Link " ^ t.link_name ^ ": no receiver attached"))
+let arrive t pkt =
+  record t pkt ~kind:Recorder.Deliver ~value:t.pa.Packet.qdelay_total.(pkt)
+    ~cause:Recorder.No_cause;
+  (match t.tap with
+  | None -> ()
+  | Some tp -> tp.Tap.on_deliver ~link:t.id ~now:(Engine.now t.engine) pkt);
+  match t.receiver with
+  | Some f -> f pkt
+  | None -> failwith ("Link " ^ t.link_name ^ ": no receiver attached")
 
-let rec start_transmission t =
+let deliver t pkt =
+  match t.wire_filter with
+  | None -> arrive t pkt
+  | Some f -> (
+      match f pkt with
+      | None -> drop t pkt ~cause:Recorder.Wire
+      | Some pkt -> arrive t pkt)
+
+(* [now] arrives boxed from the caller: when [send] starts an idle
+   transmitter, the box its enqueue used serves the dequeue too. *)
+let start_transmission t ~now =
   if not t.up then t.busy <- false
   else
-    let now = Engine.now t.engine in
     match t.qdisc.Qdisc.dequeue ~now with
     | None ->
         t.busy <- false;
@@ -92,44 +120,50 @@ let rec start_transmission t =
             tp.Tap.on_idle ~link:t.id ~now ~qlen:(t.qdisc.Qdisc.length ()))
     | Some pkt ->
         t.busy <- true;
-        let wait = now -. t.pa.Packet.enqueued_at.(pkt) in
+        let pa = t.pa in
+        let wait = now -. pa.Packet.enqueued_at.(pkt) in
         (* A scheduler may not dequeue a packet before it arrived. *)
         assert (wait >= -1e-9);
-        let wait = Stdlib.max 0. wait in
-        t.pa.Packet.qdelay_total.(pkt) <-
-          t.pa.Packet.qdelay_total.(pkt) +. wait;
-        Ispn_util.Stats.add t.waits wait;
-        let tx_time =
-          float_of_int t.pa.Packet.size_bits.(pkt) /. t.rate_bps
-        in
-        t.busy_time <- t.busy_time +. tx_time;
+        let wait = fmax 0. wait in
+        pa.Packet.qdelay_total.(pkt) <- pa.Packet.qdelay_total.(pkt) +. wait;
+        t.wait_cell.(0) <- wait;
+        Ispn_util.Stats.add_from t.waits t.wait_cell 0;
+        let bits = pa.Packet.size_bits.(pkt) in
+        if bits <> t.tx_bits then begin
+          t.tx_bits <- bits;
+          t.tx_time <- float_of_int bits /. t.rate_bps
+        end;
+        t.f.busy_time <- t.f.busy_time +. t.tx_time;
         record t pkt ~kind:Recorder.Dequeue ~value:wait
           ~cause:Recorder.No_cause;
-        record t pkt ~kind:Recorder.Tx_start ~value:tx_time
+        record t pkt ~kind:Recorder.Tx_start ~value:t.tx_time
           ~cause:Recorder.No_cause;
         (match t.tap with
         | None -> ()
         | Some tp -> tp.Tap.on_dequeue ~link:t.id ~now ~wait pkt);
-        let finish () =
-          if t.up then begin
-            t.sent <- t.sent + 1;
-            if t.prop_delay = 0. then deliver t pkt
-            else
-              ignore
-                (Engine.schedule_after t.engine ~delay:t.prop_delay (fun () ->
-                     deliver t pkt))
-          end
-          else
-            (* The link failed mid-transmission: the frame is lost. *)
-            drop t pkt ~cause:Recorder.Down;
-          start_transmission t
-        in
-        ignore (Engine.schedule_after t.engine ~delay:tx_time finish)
+        t.tx_pkt <- pkt;
+        ignore (Engine.schedule_after t.engine ~delay:t.tx_time t.on_finish)
+
+let finish t =
+  let pkt = t.tx_pkt in
+  if t.up then begin
+    t.sent <- t.sent + 1;
+    if t.prop_delay = 0. then deliver t pkt
+    else begin
+      Ispn_util.Ring.push t.in_flight pkt;
+      ignore
+        (Engine.schedule_after t.engine ~delay:t.prop_delay t.on_arrive)
+    end
+  end
+  else
+    (* The link failed mid-transmission: the frame is lost. *)
+    drop t pkt ~cause:Recorder.Down;
+  start_transmission t ~now:(Engine.now t.engine)
 
 let set_up t up =
   if up && not t.up then begin
     t.up <- true;
-    if not t.busy then start_transmission t
+    if not t.busy then start_transmission t ~now:(Engine.now t.engine)
   end
   else if (not up) && t.up then t.up <- false
 
@@ -157,13 +191,23 @@ let create ~engine ~rate_bps ?(prop_delay = 0.) ?(id = 0) ?recorder ~qdisc
       drops_buffer = 0;
       drops_down = 0;
       drops_wire = 0;
-      busy_time = 0.;
+      f = { busy_time = 0. };
       waits = Ispn_util.Stats.create ();
+      wait_cell = [| 0. |];
+      tx_bits = -1;
+      tx_time = 0.;
+      tx_pkt = Packet.dummy ();
+      in_flight = Ispn_util.Ring.create ~dummy:(Packet.dummy ()) ();
+      on_finish = ignore;
+      on_arrive = ignore;
     }
   in
+  t.on_finish <- (fun () -> finish t);
+  t.on_arrive <- (fun () -> deliver t (Ispn_util.Ring.pop_exn t.in_flight));
   (* Non-work-conserving schedulers call this back when a held packet
      becomes eligible while the transmitter is idle. *)
-  qdisc.Qdisc.attach_waker (fun () -> if not t.busy then start_transmission t);
+  qdisc.Qdisc.attach_waker (fun () ->
+      if not t.busy then start_transmission t ~now:(Engine.now t.engine));
   t
 
 let send t pkt =
@@ -176,7 +220,7 @@ let send t pkt =
     (match t.tap with
     | None -> ()
     | Some tp -> tp.Tap.on_enqueue ~link:t.id ~now pkt);
-    if not t.busy then start_transmission t
+    if not t.busy then start_transmission t ~now
   end
   else begin
     Logs.debug ~src:Ispn_util.Log.link (fun m ->
@@ -190,8 +234,10 @@ let dropped t = t.dropped
 let drops_buffer t = t.drops_buffer
 let drops_down t = t.drops_down
 let drops_wire t = t.drops_wire
-let busy_time t = t.busy_time
-let utilization t ~elapsed = if elapsed <= 0. then 0. else t.busy_time /. elapsed
+let busy_time t = t.f.busy_time
+
+let utilization t ~elapsed =
+  if elapsed <= 0. then 0. else t.f.busy_time /. elapsed
 let wait_stats t = t.waits
 
 let register_metrics t m ~prefix =
@@ -200,6 +246,6 @@ let register_metrics t m ~prefix =
   M.register_int m (prefix ^ ".drops.buffer") (fun () -> t.drops_buffer);
   M.register_int m (prefix ^ ".drops.down") (fun () -> t.drops_down);
   M.register_int m (prefix ^ ".drops.wire") (fun () -> t.drops_wire);
-  M.register_float m (prefix ^ ".busy_time") (fun () -> t.busy_time);
+  M.register_float m (prefix ^ ".busy_time") (fun () -> t.f.busy_time);
   M.register_int m (prefix ^ ".qdisc.len") (fun () -> t.qdisc.Qdisc.length ());
   M.register_stats m (prefix ^ ".wait") t.waits

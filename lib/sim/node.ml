@@ -15,10 +15,12 @@ let receive t pkt =
   let pa = Packet.arena () in
   pa.Packet.hops.(pkt) <- pa.Packet.hops.(pkt) + 1;
   let flow = pa.Packet.flow.(pkt) in
-  match Hashtbl.find_opt t.routes flow with
-  | Some (Forward link) -> Link.send link pkt
-  | Some (Deliver f) -> f pkt
-  | None ->
+  (* [find], not [find_opt]: the route lookup runs once per packet per
+     hop, and [find_opt] allocates its [Some]. *)
+  match Hashtbl.find t.routes flow with
+  | Forward link -> Link.send link pkt
+  | Deliver f -> f pkt
+  | exception Not_found ->
       failwith
         (Printf.sprintf "Node %s: no route for flow %d" t.node_name flow)
 

@@ -86,8 +86,7 @@ let grow a =
   a.alive <- Array.append a.alive (Array.make old false);
   a.free_list <- extend_i a.free_list
 
-let make ~flow ~seq ?(size_bits = Ispn_util.Units.packet_bits) ?(kind = Data)
-    ~created () =
+let alloc ~flow ~seq ~size_bits ~kind ~created =
   let a = arena () in
   let i =
     if a.free_len > 0 then begin
@@ -115,6 +114,10 @@ let make ~flow ~seq ?(size_bits = Ispn_util.Units.packet_bits) ?(kind = Data)
   a.in_use <- a.in_use + 1;
   if a.in_use > a.hwm then a.hwm <- a.in_use;
   i
+
+let make ~flow ~seq ?(size_bits = Ispn_util.Units.packet_bits) ?(kind = Data)
+    ~created () =
+  alloc ~flow ~seq ~size_bits ~kind ~created
 
 let free p =
   if p > 0 then begin

@@ -75,6 +75,12 @@ val make :
     defaults to {!Ispn_util.Units.packet_bits}; [offset], [qdelay_total]
     and [hops] start at zero, [enqueued_at] at [created]. *)
 
+val alloc :
+  flow:int -> seq:int -> size_bits:int -> kind:kind -> created:float -> t
+(** {!make} with every field given: what sources and transports call per
+    packet, because a supplied optional argument costs its caller a
+    [Some] block. *)
+
 val free : t -> unit
 (** Release the slot for reuse.  Freeing the dummy is a no-op; freeing an
     already-free slot is counted in [bad_frees] (audited to zero) rather

@@ -3,18 +3,27 @@ open Ispn_util
 type t = {
   qdelays : Fvec.t;
   latencies : Fvec.t;
+  latency : float array;  (* one slot: this delivery's latency *)
   mutable received : int;
 }
 
 let create () =
-  { qdelays = Fvec.create (); latencies = Fvec.create (); received = 0 }
+  {
+    qdelays = Fvec.create ();
+    latencies = Fvec.create ();
+    latency = [| 0. |];
+    received = 0;
+  }
 
 let sink t ~engine pkt =
-  let now = Engine.now engine in
   t.received <- t.received + 1;
   let pa = Packet.arena () in
-  Fvec.push t.qdelays pa.Packet.qdelay_total.(pkt);
-  Fvec.push t.latencies (now -. pa.Packet.created.(pkt));
+  (* The clock is read through [Engine.clock] and both samples reach the
+     vectors through array slots: as float results or arguments of
+     another module's functions, each would be boxed. *)
+  Fvec.push_from t.qdelays pa.Packet.qdelay_total pkt;
+  t.latency.(0) <- (Engine.clock engine).Engine.v -. pa.Packet.created.(pkt);
+  Fvec.push_from t.latencies t.latency 0;
   (* The probe is a terminal sink: the packet dies here. *)
   Packet.free pkt
 

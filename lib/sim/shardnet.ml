@@ -117,7 +117,8 @@ let xbuf_grow b =
    past this point the packet exists only as scalars in the buffer.
    Direct array stores throughout — the only boxing on the path is the
    clock read in the caller. *)
-let xbuf_push b (pa : Packet.arena) p ~arrival =
+(* Inlined so the caller's computed [arrival] reaches the store unboxed. *)
+let[@inline] xbuf_push b (pa : Packet.arena) p ~arrival =
   if b.x_len = Array.length b.x_arrival then xbuf_grow b;
   let n = b.x_len in
   b.x_arrival.(n) <- arrival;
@@ -133,13 +134,13 @@ let xbuf_push b (pa : Packet.arena) p ~arrival =
   Packet.free p
 
 (* Re-make entry [i] in the calling domain's arena and restore the
-   fields [Packet.make] resets.  [enqueued_at] needs no restoring: the
+   fields [Packet.alloc] resets.  [enqueued_at] needs no restoring: the
    next [Link.send] stamps it, exactly as after an intra-shard hop. *)
 let xbuf_remake b (pa : Packet.arena) i =
   let p =
-    Packet.make ~flow:b.x_flow.(i) ~seq:b.x_seq.(i) ~size_bits:b.x_size.(i)
+    Packet.alloc ~flow:b.x_flow.(i) ~seq:b.x_seq.(i) ~size_bits:b.x_size.(i)
       ~kind:(if b.x_kind.(i) = 0 then Packet.Data else Packet.Ack)
-      ~created:b.x_created.(i) ()
+      ~created:b.x_created.(i)
   in
   pa.Packet.offset.(p) <- b.x_offset.(i);
   pa.Packet.qdelay_total.(p) <- b.x_qdelay.(i);
@@ -262,7 +263,7 @@ let no_link_stat = { k_sent = 0; k_dropped = 0; k_drops_buffer = 0 }
    delivery histories across shard widths without storing them. *)
 let fnv_prime = 0x100000001b3
 
-let digest_mix h ~seq ~delay =
+let[@inline] digest_mix h ~seq ~delay =
   let h = (h * fnv_prime) lxor seq in
   (h * fnv_prime) lxor Int64.to_int (Int64.bits_of_float delay)
 
@@ -323,6 +324,7 @@ let run ?on_link ?on_shard ?(until = 60.) spec =
   let barrier = Barrier.create spec.n_shards in
   let worker shard () =
     let engine = Engine.create () in
+    let clock = Engine.clock engine in
     let pa = Packet.arena () in
     (* Switches owned by this shard; the rest stay un-built. *)
     let nodes = Array.make spec.n_switches None in
@@ -367,7 +369,7 @@ let run ?on_link ?on_shard ?(until = 60.) spec =
              in
              Link.set_receiver lk (fun p ->
                  let b = cut.c_bufs.(!parity) in
-                 xbuf_push b pa p ~arrival:(Engine.now engine +. cut.c_prop);
+                 xbuf_push b pa p ~arrival:(clock.Engine.v +. cut.c_prop);
                  cut.c_pushed <- cut.c_pushed + 1)
            end);
           (match on_link with None -> () | Some f -> f ~shard lk);
@@ -389,8 +391,7 @@ let run ?on_link ?on_shard ?(until = 60.) spec =
                 Node.add_route (node last) ~flow:fi
                   (Node.Deliver
                      (fun p ->
-                       let now = Engine.now engine in
-                       let d = now -. pa.Packet.created.(p) in
+                       let d = clock.Engine.v -. pa.Packet.created.(p) in
                        delivered.(fi) <- delivered.(fi) + 1;
                        delay_sum.(fi) <- delay_sum.(fi) +. d;
                        if d > delay_max.(fi) then delay_max.(fi) <- d;

@@ -48,6 +48,6 @@ let decode ?(created = 0.) b =
   let seq = Int32.to_int (Bytes.get_int32_be b 8) in
   if seq < 0 then raise (Malformed (Printf.sprintf "negative seq %d" seq));
   let offset = Int32.to_float (Bytes.get_int32_be b 12) *. offset_quantum in
-  let p = Packet.make ~flow ~seq ~size_bits ~kind ~created () in
+  let p = Packet.alloc ~flow ~seq ~size_bits ~kind ~created in
   Packet.set_offset p offset;
   p

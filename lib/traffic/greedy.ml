@@ -9,8 +9,8 @@ let create ~engine ~flow ~rate_pps ~burst_packets
   let next_seq = ref 0 in
   let send () =
     let pkt =
-      Packet.make ~flow ~seq:!next_seq ~size_bits:packet_bits
-        ~created:(Engine.now engine) ()
+      Packet.alloc ~flow ~seq:!next_seq ~size_bits:packet_bits ~kind:Data
+        ~created:(Engine.now engine)
     in
     incr next_seq;
     incr count;

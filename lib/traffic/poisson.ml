@@ -10,8 +10,8 @@ let create ~engine ~prng ~flow ~rate_pps ?(packet_bits = Units.packet_bits)
   let rec tick () =
     if !running then begin
       let pkt =
-        Packet.make ~flow ~seq:!next_seq ~size_bits:packet_bits
-          ~created:(Engine.now engine) ()
+        Packet.alloc ~flow ~seq:!next_seq ~size_bits:packet_bits ~kind:Data
+          ~created:(Engine.now engine)
       in
       incr next_seq;
       incr count;

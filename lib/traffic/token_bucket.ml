@@ -1,3 +1,5 @@
+(* All-float record, so [refill] and [conforms] — once per policed
+   packet — store [tokens] and [last_refill] unboxed. *)
 type t = {
   rate_bps : float;
   depth_bits : float;
@@ -13,15 +15,21 @@ let create ~rate_bps ~depth_bits ?initial_bits () =
 let rate_bps t = t.rate_bps
 let depth_bits t = t.depth_bits
 
-let refill t ~now =
+(* [Stdlib.min] on floats is a C call on boxed arguments; this returns the
+   same bits. *)
+let fmin (a : float) b = if a <= b then a else b
+
+(* Inlined, like [conforms], so the policer's unboxed clock reading stays
+   unboxed. *)
+let[@inline] refill t ~now =
   assert (now >= t.last_refill -. 1e-9);
   if now > t.last_refill then begin
     t.tokens <-
-      Stdlib.min t.depth_bits (t.tokens +. ((now -. t.last_refill) *. t.rate_bps));
+      fmin t.depth_bits (t.tokens +. ((now -. t.last_refill) *. t.rate_bps));
     t.last_refill <- now
   end
 
-let conforms t ~now ~bits =
+let[@inline] conforms t ~now ~bits =
   refill t ~now;
   let need = float_of_int bits in
   if t.tokens >= need -. 1e-9 then begin
@@ -51,7 +59,7 @@ let policer ~engine ~bucket ~mode ~next =
 
 let police p pkt =
   p.offered <- p.offered + 1;
-  let now = Ispn_sim.Engine.now p.engine in
+  let now = (Ispn_sim.Engine.clock p.engine).Ispn_sim.Engine.v in
   if conforms p.bucket ~now ~bits:(Ispn_sim.Packet.size_bits pkt) then
     p.next pkt
   else begin

@@ -23,6 +23,19 @@ let default_config =
     ack_delay = 1e-3;
   }
 
+(* The sender's per-ack floats, in an all-float record so each store is
+   unboxed.  [rto] stays a field of [t]: it is read on every timer arming
+   and handed to [Engine.schedule_after], which would box a value kept
+   flat, whereas a field of a mixed record already holds a box; it is
+   written only once per RTT sample or timeout. *)
+type fstate = {
+  mutable cwnd : float;  (* congestion window, segments *)
+  mutable ssthresh : float;
+  mutable srtt : float;  (* meaningful once [rtt_sampled] *)
+  mutable rttvar : float;
+  mutable timed_at : float;
+}
+
 type t = {
   engine : Engine.t;
   flow : int;
@@ -32,15 +45,13 @@ type t = {
   mutable running : bool;
   mutable una : int;  (* lowest unacknowledged sequence number *)
   mutable next : int;  (* next sequence number to transmit *)
-  mutable cwnd : float;  (* congestion window, segments *)
-  mutable ssthresh : float;
+  f : fstate;
   mutable dupacks : int;
-  mutable timer : Engine.handle option;
+  mutable timer : Engine.handle;  (* the pending timeout, if [armed] *)
+  mutable armed : bool;
   mutable rto : float;
-  mutable srtt : float option;
-  mutable rttvar : float;
-  mutable timed_seq : int option;  (* Karn: time only fresh transmissions *)
-  mutable timed_at : float;
+  mutable rtt_sampled : bool;
+  mutable timed_seq : int;  (* Karn: time only fresh transmissions; -1 = none *)
   mutable in_recovery : bool;  (* Reno fast recovery in progress *)
   mutable segments_sent : int;
   mutable retransmissions : int;
@@ -50,77 +61,65 @@ type t = {
   mutable rcv_next : int;  (* all seq < rcv_next delivered in order *)
   ooo : (int, unit) Hashtbl.t;  (* out-of-order segments held back *)
   mutable delivered : int;
+  (* Acks return after the constant [ack_delay], so they fire in the
+     order they were sent: [acks] holds the cumulative ack numbers in
+     flight, oldest first, and the one [on_ack_due] action pops the head.
+     [on_timeout_due] is the retransmission timer's action.  Both are
+     built at [create]. *)
+  acks : int Ispn_util.Ring.t;
+  mutable on_ack_due : unit -> unit;
+  mutable on_timeout_due : unit -> unit;
 }
 
-let create ~engine ~flow ?(config = default_config) ~send () =
-  {
-    engine;
-    flow;
-    cfg = config;
-    send;
-    running = false;
-    una = 0;
-    next = 0;
-    cwnd = 1.;
-    ssthresh = float_of_int config.init_ssthresh;
-    dupacks = 0;
-    timer = None;
-    rto = 1.0;
-    srtt = None;
-    rttvar = 0.;
-    timed_seq = None;
-    timed_at = 0.;
-    in_recovery = false;
-    segments_sent = 0;
-    retransmissions = 0;
-    timeouts = 0;
-    fast_recoveries = 0;
-    rcv_next = 0;
-    ooo = Hashtbl.create 64;
-    delivered = 0;
-  }
+(* [Stdlib.min]/[max] are polymorphic: a C call on boxed floats.  These
+   return the same bits. *)
+let fmin (a : float) b = if a <= b then a else b
+let fmax (a : float) b = if a >= b then a else b
 
 let disarm_timer t =
-  match t.timer with
-  | Some h ->
-      Engine.cancel t.engine h;
-      t.timer <- None
-  | None -> ()
+  if t.armed then begin
+    Engine.cancel t.engine t.timer;
+    t.armed <- false
+  end
 
 let effective_window t =
-  Stdlib.min (int_of_float t.cwnd) t.cfg.max_window |> Stdlib.max 1
+  let w = int_of_float t.f.cwnd in
+  let w = if w <= t.cfg.max_window then w else t.cfg.max_window in
+  if w >= 1 then w else 1
 
 let transmit t seq ~fresh =
   let now = Engine.now t.engine in
   let pkt =
-    Packet.make ~flow:t.flow ~seq ~size_bits:t.cfg.packet_bits ~created:now ()
+    Packet.alloc ~flow:t.flow ~seq ~size_bits:t.cfg.packet_bits ~kind:Data
+      ~created:now
   in
   t.segments_sent <- t.segments_sent + 1;
   if not fresh then t.retransmissions <- t.retransmissions + 1;
   (* RTT-sample one segment at a time; retransmitted sequence numbers are
      never timed (Karn's rule). *)
-  if fresh && t.timed_seq = None then begin
-    t.timed_seq <- Some seq;
-    t.timed_at <- now
+  if fresh && t.timed_seq < 0 then begin
+    t.timed_seq <- seq;
+    t.f.timed_at <- now
   end;
   t.send pkt
 
-let rec arm_timer t =
+let arm_timer t =
   disarm_timer t;
-  if t.una < t.next && t.running then
-    t.timer <-
-      Some (Engine.schedule_after t.engine ~delay:t.rto (fun () -> on_timeout t))
+  if t.una < t.next && t.running then begin
+    t.timer <- Engine.schedule_after t.engine ~delay:t.rto t.on_timeout_due;
+    t.armed <- true
+  end
 
-and on_timeout t =
-  t.timer <- None;
+let on_timeout t =
+  t.armed <- false;
   if t.running && t.una < t.next then begin
     t.timeouts <- t.timeouts + 1;
-    t.ssthresh <- Stdlib.max (t.cwnd /. 2.) 2.;
-    t.cwnd <- 1.;
+    t.f.ssthresh <- fmax (t.f.cwnd /. 2.) 2.;
+    t.f.cwnd <- 1.;
     t.dupacks <- 0;
     t.in_recovery <- false;
-    t.rto <- Stdlib.min (2. *. t.rto) t.cfg.max_rto;
-    t.timed_seq <- None;
+    t.rto <- fmin (2. *. t.rto) t.cfg.max_rto;
+    t.timed_seq <- -1;
     (* Go-back-N: rewind and let the window re-send from the hole. *)
     t.next <- t.una;
     transmit t t.next ~fresh:false;
@@ -135,31 +134,33 @@ let try_send t =
       transmit t t.next ~fresh:true;
       t.next <- t.next + 1
     done;
-    if t.timer = None then arm_timer t
+    if not t.armed then arm_timer t
   end
 
-let update_rtt t ~sample =
-  (match t.srtt with
-  | None ->
-      t.srtt <- Some sample;
-      t.rttvar <- sample /. 2.
-  | Some srtt ->
-      let err = sample -. srtt in
-      t.srtt <- Some (srtt +. (0.125 *. err));
-      t.rttvar <- t.rttvar +. (0.25 *. (Float.abs err -. t.rttvar)));
-  let srtt = Option.get t.srtt in
-  t.rto <-
-    Stdlib.min t.cfg.max_rto
-      (Stdlib.max t.cfg.min_rto (srtt +. (4. *. t.rttvar)))
+(* Jacobson/Karels, on the sample ending now. *)
+let update_rtt t ~now =
+  let f = t.f in
+  let sample = now -. f.timed_at in
+  if not t.rtt_sampled then begin
+    t.rtt_sampled <- true;
+    f.srtt <- sample;
+    f.rttvar <- sample /. 2.
+  end
+  else begin
+    let err = sample -. f.srtt in
+    f.srtt <- f.srtt +. (0.125 *. err);
+    f.rttvar <- f.rttvar +. (0.25 *. (Float.abs err -. f.rttvar))
+  end;
+  t.rto <- fmin t.cfg.max_rto (fmax t.cfg.min_rto (f.srtt +. (4. *. f.rttvar)))
 
 let fast_retransmit t =
   t.fast_recoveries <- t.fast_recoveries + 1;
-  t.ssthresh <- Stdlib.max (t.cwnd /. 2.) 2.;
-  t.timed_seq <- None;
+  t.f.ssthresh <- fmax (t.f.cwnd /. 2.) 2.;
+  t.timed_seq <- -1;
   (match t.cfg.flavor with
   | Tahoe ->
       (* Collapse and go-back-N from the hole. *)
-      t.cwnd <- 1.;
+      t.f.cwnd <- 1.;
       t.dupacks <- 0;
       t.next <- t.una;
       transmit t t.next ~fresh:false;
@@ -168,7 +169,7 @@ let fast_retransmit t =
       (* Retransmit only the hole, halve the window and inflate it by the
          three segments the dupacks say have left the network. *)
       transmit t t.una ~fresh:false;
-      t.cwnd <- t.ssthresh +. 3.;
+      t.f.cwnd <- t.f.ssthresh +. 3.;
       t.in_recovery <- true);
   arm_timer t;
   try_send t
@@ -179,22 +180,22 @@ let on_ack t ack =
     let n_acked = ack - t.una in
     t.una <- ack;
     t.dupacks <- 0;
+    let f = t.f in
     if t.in_recovery then begin
       (* Classic Reno: first new ack deflates the window and ends
          recovery. *)
       t.in_recovery <- false;
-      t.cwnd <- t.ssthresh
+      f.cwnd <- f.ssthresh
     end;
-    (match t.timed_seq with
-    | Some seq when ack > seq ->
-        update_rtt t ~sample:(Engine.now t.engine -. t.timed_at);
-        t.timed_seq <- None
-    | Some _ | None -> ());
+    if t.timed_seq >= 0 && ack > t.timed_seq then begin
+      update_rtt t ~now:(Engine.now t.engine);
+      t.timed_seq <- -1
+    end;
     (* Slow start: one segment per ack; congestion avoidance: one segment
        per window's worth of acks. *)
     for _ = 1 to n_acked do
-      if t.cwnd < t.ssthresh then t.cwnd <- t.cwnd +. 1.
-      else t.cwnd <- t.cwnd +. (1. /. t.cwnd)
+      if f.cwnd < f.ssthresh then f.cwnd <- f.cwnd +. 1.
+      else f.cwnd <- f.cwnd +. (1. /. f.cwnd)
     done;
     if t.una = t.next then disarm_timer t else arm_timer t;
     try_send t
@@ -204,7 +205,7 @@ let on_ack t ack =
     if t.dupacks = 3 then fast_retransmit t
     else if t.in_recovery && t.dupacks > 3 then begin
       (* Each further dupack signals another departure: inflate. *)
-      t.cwnd <- t.cwnd +. 1.;
+      t.f.cwnd <- t.f.cwnd +. 1.;
       try_send t
     end
   end
@@ -214,16 +215,62 @@ let receive t pkt =
   (* The data segment dies at the receiver; the ack is modelled as a pure
      event (no packet travels back). *)
   Packet.free pkt;
-  if seq >= t.rcv_next then Hashtbl.replace t.ooo seq ();
-  while Hashtbl.mem t.ooo t.rcv_next do
-    Hashtbl.remove t.ooo t.rcv_next;
+  (* An in-order segment is delivered at once; only a segment past a
+     hole is held back in [ooo]. *)
+  if seq = t.rcv_next then begin
     t.rcv_next <- t.rcv_next + 1;
     t.delivered <- t.delivered + 1
-  done;
-  let ack = t.rcv_next in
-  ignore
-    (Engine.schedule_after t.engine ~delay:t.cfg.ack_delay (fun () ->
-         on_ack t ack))
+  end
+  else if seq > t.rcv_next then Hashtbl.replace t.ooo seq ();
+  if Hashtbl.length t.ooo > 0 then
+    while Hashtbl.mem t.ooo t.rcv_next do
+      Hashtbl.remove t.ooo t.rcv_next;
+      t.rcv_next <- t.rcv_next + 1;
+      t.delivered <- t.delivered + 1
+    done;
+  Ispn_util.Ring.push t.acks t.rcv_next;
+  ignore (Engine.schedule_after t.engine ~delay:t.cfg.ack_delay t.on_ack_due)
+
+let create ~engine ~flow ?(config = default_config) ~send () =
+  let t =
+    {
+      engine;
+      flow;
+      cfg = config;
+      send;
+      running = false;
+      una = 0;
+      next = 0;
+      f =
+        {
+          cwnd = 1.;
+          ssthresh = float_of_int config.init_ssthresh;
+          srtt = 0.;
+          rttvar = 0.;
+          timed_at = 0.;
+        };
+      dupacks = 0;
+      timer = Engine.no_handle;
+      armed = false;
+      rto = 1.0;
+      rtt_sampled = false;
+      timed_seq = -1;
+      in_recovery = false;
+      segments_sent = 0;
+      retransmissions = 0;
+      timeouts = 0;
+      fast_recoveries = 0;
+      rcv_next = 0;
+      ooo = Hashtbl.create 64;
+      delivered = 0;
+      acks = Ispn_util.Ring.create ~dummy:0 ();
+      on_ack_due = ignore;
+      on_timeout_due = ignore;
+    }
+  in
+  t.on_ack_due <- (fun () -> on_ack t (Ispn_util.Ring.pop_exn t.acks));
+  t.on_timeout_due <- (fun () -> on_timeout t);
+  t
 
 let start t =
   if not t.running then begin
@@ -240,7 +287,7 @@ let retransmissions t = t.retransmissions
 let delivered t = t.delivered
 let timeouts t = t.timeouts
 let fast_recoveries t = t.fast_recoveries
-let cwnd t = t.cwnd
+let cwnd t = t.f.cwnd
 
 let goodput_bps t ~elapsed =
   if elapsed <= 0. then 0.

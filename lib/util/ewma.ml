@@ -8,10 +8,12 @@ let create ?(init = 0.) ~gain () =
   assert (gain > 0. && gain <= 1.);
   { gain; avg = init; n = 0. }
 
-let update t x =
+let[@inline] update t x =
   if t.n = 0. then t.avg <- x
   else t.avg <- t.avg +. (t.gain *. (x -. t.avg));
   t.n <- t.n +. 1.
+
+let update_from t (a : float array) i = update t a.(i)
 
 let value t = t.avg
 let count t = int_of_float t.n

@@ -39,7 +39,7 @@ let grow t =
   t.seqs <- seqs;
   t.data <- data
 
-let push_pinned t ~key ~seq x =
+let[@inline] push_pinned t ~key ~seq x =
   if t.len = Array.length t.keys then grow t;
   let keys = t.keys and seqs = t.seqs and data = t.data in
   (* Hole insertion: walk the hole up past every strictly-greater parent,
@@ -62,14 +62,18 @@ let push_pinned t ~key ~seq x =
   seqs.(!i) <- seq;
   data.(!i) <- x
 
-let push t ~key x =
+let[@inline] push t ~key x =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   push_pinned t ~key ~seq x
 
-let min_key_exn t =
+let push_from t (a : float array) i x = push t ~key:a.(i) x
+
+let[@inline] min_key_exn t =
   if t.len = 0 then invalid_arg "Kheap.min_key_exn: empty";
   t.keys.(0)
+
+let min_key_into t (a : float array) i = a.(i) <- min_key_exn t
 
 let min_seq_exn t =
   if t.len = 0 then invalid_arg "Kheap.min_seq_exn: empty";

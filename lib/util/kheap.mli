@@ -41,8 +41,17 @@ val push : 'a t -> key:float -> 'a -> unit
 val push_pinned : 'a t -> key:float -> seq:int -> 'a -> unit
 (** Insert under [key] with an explicit tie-break rank (see above). *)
 
+val push_from : 'a t -> float array -> int -> 'a -> unit
+(** [push_from t a i x] is [push t ~key:a.(i) x].  A float argument to a
+    function of another module is boxed; per-packet callers keep the key
+    in a [float array] slot instead. *)
+
 val min_key_exn : 'a t -> float
 (** Key of the minimum element; raises [Invalid_argument] when empty. *)
+
+val min_key_into : 'a t -> float array -> int -> unit
+(** [min_key_into t a i] stores {!min_key_exn} into [a.(i)] without boxing
+    it; raises [Invalid_argument] when empty. *)
 
 val min_seq_exn : 'a t -> int
 (** Sequence number of the minimum element; raises when empty.  Read it

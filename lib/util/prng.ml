@@ -1,23 +1,30 @@
-type t = { mutable state : int64 }
+(* The 64-bit state sits unboxed in an 8-byte buffer.  As an [int64]
+   record field it would point to a boxed Int64, so every draw would
+   allocate a new one; here a draw is a load, arithmetic on an unboxed
+   local and a store, and only the caller-visible result is boxed. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create ~seed = { state = seed }
+let create ~seed =
+  let g = Bytes.create 8 in
+  Bytes.set_int64_ne g 0 seed;
+  g
 
 (* Mixing function from Steele, Lea & Flood, "Fast splittable pseudorandom
    number generators" (OOPSLA 2014). *)
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let next_raw g =
-  g.state <- Int64.add g.state golden_gamma;
-  g.state
+let[@inline] next_raw g =
+  let s = Int64.add (Bytes.get_int64_ne g 0) golden_gamma in
+  Bytes.set_int64_ne g 0 s;
+  s
 
-let int64 g = mix64 (next_raw g)
-
-let split g = { state = int64 g }
+let[@inline] int64 g = mix64 (next_raw g)
+let split g = create ~seed:(int64 g)
 
 let float g =
   (* Use the top 53 bits for a uniform double in [0, 1). *)

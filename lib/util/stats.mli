@@ -12,6 +12,11 @@ val create : unit -> t
 val add : t -> float -> unit
 (** Record one observation. *)
 
+val add_from : t -> float array -> int -> unit
+(** [add_from t a i] is [add t a.(i)], for per-packet callers: a float
+    argument to a function of another module is boxed, a [float array]
+    slot is not. *)
+
 val count : t -> int
 val mean : t -> float
 (** Mean of the observations; [0.] when empty. *)

@@ -109,6 +109,92 @@ let test_fifo_cycle_interface_budget () =
        and dequeue's Some)"
       per
 
+let test_link_hop_budget () =
+  (* One hop through a FIFO link with a propagation delay: send (qdisc
+     accept, transmitter start), finish (serialization done), deliver
+     (after propagation).  The only words left are the qdisc interface's:
+     a boxed clock reading per closure call and dequeue's [Some], 6 per
+     packet both when packets queue back to back (send boxes one for its
+     enqueue, finish one for the next dequeue) and when each finds the
+     transmitter idle (send's box serves enqueue and dequeue; finish boxes
+     one for the dequeue that finds the queue empty).  Transmission and
+     delivery reuse event actions built at [Link.create]. *)
+  let engine = Engine.create () in
+  let qdisc = Ispn_sched.Fifo.create ~pool:(Qdisc.pool ~capacity:1024) () in
+  let link =
+    Link.create ~engine ~rate_bps:1e6 ~prop_delay:1e-3 ~qdisc ~name:"hop" ()
+  in
+  let delivered = ref 0 in
+  Link.set_receiver link (fun p ->
+      incr delivered;
+      Packet.free p);
+  let batch = 1000 and rounds = 20 in
+  let check phase per =
+    if per > 6.05 then
+      Alcotest.failf
+        "link hop (%s): %.2f minor words per packet (expected <= 6, the \
+         qdisc-interface residue)"
+        phase per
+  in
+  (* Back to back: a batch of sends at one instant, then drain.  Each
+     round's [Engine.run] call adds a few words, about 0.01 per packet. *)
+  let per =
+    per_n
+      (fun () ->
+        for i = 1 to batch do
+          Link.send link (Packet.make ~flow:1 ~seq:i ~created:0. ())
+        done;
+        Engine.run engine ~until:(Engine.now engine +. 10.))
+      rounds
+    /. float_of_int batch
+  in
+  check "back to back" per;
+  (* Idle transmitter: one send every 2 ms, each transmission 1 ms. *)
+  let left = ref 0 in
+  let rec tick () =
+    Link.send link (Packet.make ~flow:1 ~seq:!left ~created:0. ());
+    decr left;
+    if !left > 0 then ignore (Engine.schedule_after engine ~delay:2e-3 tick)
+  in
+  let per =
+    per_n
+      (fun () ->
+        left := batch;
+        ignore (Engine.schedule_after engine ~delay:2e-3 tick);
+        Engine.run engine ~until:(Engine.now engine +. 10.))
+      rounds
+    /. float_of_int batch
+  in
+  check "idle" per;
+  Alcotest.(check int) "every packet delivered" (2 * (rounds + 1) * batch)
+    !delivered
+
+let test_table3_words_per_transmission () =
+  (* The whole packet path at the paper's Table 3 load: sources, policers,
+     three CSZ links, TCP, probes and result extraction.  10 simulated
+     seconds measure 11.9 minor words per link transmission, set-up and
+     extraction included (DESIGN.md, "Hot-path discipline").  Every
+     packet is [Units.packet_bits] long, so a link's transmissions are
+     its busy time over one packet's transmission time. *)
+  let duration = 10. in
+  let before = Gc.minor_words () in
+  let r = Csz.Experiment.run_table3 ~duration ~seed:1L () in
+  let words = Gc.minor_words () -. before in
+  let per_packet_s =
+    float_of_int Ispn_util.Units.packet_bits /. Ispn_util.Units.link_rate_bps
+  in
+  let sent =
+    Array.fold_left
+      (fun acc u -> acc +. Float.round (u *. duration /. per_packet_s))
+      0. r.Csz.Experiment.info.Csz.Experiment.utilization
+  in
+  let per = words /. sent in
+  if per > 13. then
+    Alcotest.failf
+      "table3 (%.0f s): %.1f minor words per link transmission (expected \
+       <= 13)"
+      duration per
+
 let test_idpool_cycle_zero_alloc () =
   (* The flow-slot free list under churn: once warm, a session open/close
      is three dense-array stores and an int push/pop — no boxing. *)
@@ -145,16 +231,16 @@ let test_sched_session_open_close_budget () =
         Csz.Csz_sched.remove_guaranteed sched ~flow:7)
       n
   in
-  (* Steady state measures 12: the mutable [g_weight_sum] float field and
-     the weights returned/negated across [g_weight_of]/[resize_flow0]
-     boundaries.  Any per-session record, closure or Hashtbl would blow
-     well past this. *)
+  (* Steady state measures 2: the rate boxed for the [add_guaranteed]
+     call.  [g_weight_sum] lives in an all-float record and the weights
+     stay inside the module.  Any per-session record, closure or Hashtbl
+     would blow well past this. *)
   Alcotest.(check bool)
     (Printf.sprintf
-       "sched open+close: %.1f minor words per session (expected <= 14: \
-        boxed weights at function boundaries only)"
+       "sched open+close: %.1f minor words per session (expected <= 2: \
+        the boxed rate argument only)"
        per)
-    true (per <= 14.)
+    true (per <= 2.)
 
 let test_loghist_add_zero_alloc () =
   (* The histogram feed --series attaches to every dequeue: a branch, a
@@ -215,7 +301,9 @@ let test_csz_idle_cycle_budget () =
      8192 slots; driving that flow alone through an empty link makes every
      enqueue+dequeue open and end a busy period.  Its words must not exceed
      those of the micro bench's sched/CSZ cycle: a 32-deep standing queue
-     of predicted and datagram flows, never idle. *)
+     of predicted and datagram flows, never idle.  That cycle itself costs
+     4 words: the harness's float clock ref (2, boxed on each store) and
+     dequeue's [Some]; the scheduler adds nothing. *)
   let cycle q ~flow_of =
     let clock = ref 0. and seq = ref 0 in
     per_n
@@ -250,6 +338,11 @@ let test_csz_idle_cycle_budget () =
     Alcotest.(check int) "every cycle drains the link" 0 (q.Qdisc.length ());
     words
   in
+  if standing > 4. then
+    Alcotest.failf
+      "CSZ standing-queue cycle: %.1f minor words (expected <= 4: the \
+       harness's clock and dequeue's Some)"
+      standing;
   if idle > standing then
     Alcotest.failf
       "CSZ busy-period cycle: %.1f minor words (expected <= %.1f, the \
@@ -266,6 +359,10 @@ let suite =
       test_arena_field_stores_zero_alloc;
     Alcotest.test_case "fifo cycle within interface budget" `Quick
       test_fifo_cycle_interface_budget;
+    Alcotest.test_case "link hop within interface budget" `Quick
+      test_link_hop_budget;
+    Alcotest.test_case "table3 words per transmission" `Quick
+      test_table3_words_per_transmission;
     Alcotest.test_case "idpool cycle allocates nothing" `Quick
       test_idpool_cycle_zero_alloc;
     Alcotest.test_case "sched session open/close within budget" `Quick

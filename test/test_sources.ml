@@ -72,6 +72,46 @@ let test_onoff_stop () =
   Engine.run engine ~until:20.;
   Alcotest.(check int) "no packets after stop" at_stop !count
 
+let test_onoff_restart_single_chain () =
+  (* Stop half a peak slot after the first packet — its continuation is
+     still pending — and start again at once.  The old chain must end
+     there: were it to run on next to the new one, the source would emit
+     at twice its rate and the two chains' packets would interleave
+     closer than the peak-rate spacing. *)
+  let engine = Engine.create () in
+  let times = ref [] in
+  let src =
+    Ispn_traffic.Onoff.create ~engine ~prng:(Prng.create ~seed:16L) ~flow:0
+      ~avg_rate_pps:85.
+      ~emit:(fun p ->
+        times := Engine.now engine :: !times;
+        Packet.free p)
+      ()
+  in
+  let gap = 1. /. 170. in
+  src.Ispn_traffic.Source.start ();
+  while !times = [] do
+    Engine.run engine ~until:(Engine.now engine +. (gap /. 8.))
+  done;
+  Engine.run engine ~until:(List.hd !times +. (gap /. 2.));
+  src.Ispn_traffic.Source.stop ();
+  src.Ispn_traffic.Source.start ();
+  let restart = Engine.now engine in
+  Engine.run engine ~until:(restart +. 50.);
+  let after = List.filter (fun t -> t > restart) (List.rev !times) in
+  let rec check = function
+    | t1 :: (t2 :: _ as rest) ->
+        if t2 -. t1 < gap -. 1e-9 then
+          Alcotest.failf "emissions at %.6f and %.6f: %.6f apart, below 1/peak"
+            t1 t2 (t2 -. t1);
+        check rest
+    | _ -> ()
+  in
+  check after;
+  let rate = float_of_int (List.length after) /. 50. in
+  if rate > 1.3 *. 85. then
+    Alcotest.failf "rate after restart %.1f pps, expected ~85" rate
+
 let test_onoff_determinism () =
   let run () =
     let build engine emit =
@@ -171,6 +211,8 @@ let suite =
     Alcotest.test_case "onoff peak spacing" `Quick test_onoff_peak_spacing;
     Alcotest.test_case "onoff seq numbers" `Quick test_onoff_seq_numbers;
     Alcotest.test_case "onoff stop" `Quick test_onoff_stop;
+    Alcotest.test_case "onoff restart runs one chain" `Quick
+      test_onoff_restart_single_chain;
     Alcotest.test_case "onoff determinism" `Quick test_onoff_determinism;
     Alcotest.test_case "cbr exact spacing" `Quick test_cbr_exact_spacing;
     Alcotest.test_case "poisson rate" `Quick test_poisson_rate;

@@ -75,6 +75,44 @@ let qcheck_fvec_sorted =
       let sorted = Array.to_list (Fvec.sorted_copy v) in
       sorted = List.sort compare xs)
 
+(* [Fvec.sort] ports Stdlib's heap sort to [float array]: it must produce
+   the very permutation [Array.sort compare] does, which only bit patterns
+   can show — [-0.] and [0.] compare equal, as do [nan]s with different
+   payloads, so a merely sorted result could still order them differently.
+   Random arrays of every small length and some long ones, drawn from a
+   pool dense in duplicates and special values. *)
+let test_fvec_sort_matches_stdlib () =
+  let g = Ispn_util.Prng.create ~seed:2026L in
+  let specials =
+    [|
+      0.; -0.; nan; -.nan; Int64.float_of_bits 0x7ff0000000000001L;
+      Int64.float_of_bits 0xfff8000000000abcL; infinity; neg_infinity; 1.;
+      -1.; 1e-300; -1e-300; max_float; -.max_float; epsilon_float;
+    |]
+  in
+  let draw () =
+    match Ispn_util.Prng.int g ~bound:4 with
+    | 0 -> specials.(Ispn_util.Prng.int g ~bound:(Array.length specials))
+    | 1 -> float_of_int (Ispn_util.Prng.int g ~bound:5 - 2)
+    | _ -> (Ispn_util.Prng.float g -. 0.5) *. 1e3
+  in
+  let bits a = Array.map Int64.bits_of_float a in
+  let check len =
+    let a = Array.init len (fun _ -> draw ()) in
+    let expected = Array.copy a and got = Array.copy a in
+    Array.sort compare expected;
+    Fvec.sort got;
+    if bits expected <> bits got then
+      Alcotest.failf "length %d: permutation differs from Array.sort compare"
+        len
+  in
+  for len = 0 to 64 do
+    for _ = 1 to 20 do
+      check len
+    done
+  done;
+  List.iter check [ 257; 1000; 4099 ]
+
 (* --- Quantile --- *)
 
 let test_quantile_known () =
@@ -166,6 +204,8 @@ let suite =
     Alcotest.test_case "fvec clear" `Quick test_fvec_clear;
     QCheck_alcotest.to_alcotest qcheck_fvec_model;
     QCheck_alcotest.to_alcotest qcheck_fvec_sorted;
+    Alcotest.test_case "fvec sort matches Array.sort bit for bit" `Quick
+      test_fvec_sort_matches_stdlib;
     Alcotest.test_case "quantile known" `Quick test_quantile_known;
     Alcotest.test_case "quantile singleton" `Quick test_quantile_singleton;
     Alcotest.test_case "quantile errors" `Quick test_quantile_errors;
