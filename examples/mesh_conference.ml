@@ -82,10 +82,10 @@ let () =
 
   Printf.printf "\nPer-link load after 120 s:\n";
   for i = 0 to Fabric.n_links fabric - 1 do
-    let l = Fabric.link fabric i in
+    let l = Fabric.link fabric i and a, b = List.nth links i in
     if Link.sent l > 0 then
       Printf.printf "  %-10s %5.1f%% utilized, %6d packets, reserved %3.0f%%\n"
-        (Link.name l)
+        (Printf.sprintf "S-%d->S-%d" (a + 1) (b + 1))
         (100. *. Link.utilization l ~elapsed:120.)
         (Link.sent l)
         (100.

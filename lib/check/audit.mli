@@ -49,7 +49,7 @@ val attach_link : t -> ?work_conserving:bool -> Ispn_sim.Link.t -> unit
     by scheduler name (see {!work_conserving_name}). *)
 
 val attach_network : t -> Ispn_sim.Network.t -> unit
-(** {!attach_link} on every link of the chain. *)
+(** {!attach_link} on every link of the network. *)
 
 val register_pool : t -> link:int -> Ispn_sim.Qdisc.pool -> unit
 (** Enable the buffer-accounting checks for a link's pool; may be called

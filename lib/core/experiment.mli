@@ -112,6 +112,10 @@ val register_arena_metrics : Ispn_obs.Metrics.t -> unit
     themselves; extension experiments that build their own topology (E11,
     E13) call this directly. *)
 
+val attach_wait_hists : Ispn_sim.Network.t -> Ispn_obs.Hist.t -> unit
+(** Grow a [link.<i>.wait] delay histogram per link of the network, fed
+    from a dequeue tap composed with any taps already attached. *)
+
 val run_figure1_custom :
   qdisc_of:(Ispn_sim.Engine.t -> int -> Ispn_sim.Qdisc.t) ->
   ?avg_rate_pps:float ->

@@ -1248,23 +1248,11 @@ let run_failover ?(duration = 120.) ?(seed = 42L) ?(j = 1) ?series_interval () =
       | Some interval ->
           let m = Ispn_obs.Metrics.create () in
           Engine.register_metrics engine m;
-          for link = 0 to n_links - 1 do
-            Link.register_metrics (Fabric.link fab link) m
-              ~prefix:(Printf.sprintf "link.%d" link)
-          done;
+          Network.register_metrics (Fabric.network fab) m;
           Signaling.register_metrics sg m ();
           Experiment.register_arena_metrics m;
           let h = Ispn_obs.Hist.create ~metrics:m () in
-          for link = 0 to n_links - 1 do
-            let ch =
-              Ispn_obs.Hist.channel h (Printf.sprintf "link.%d.wait" link)
-            in
-            Link.add_tap (Fabric.link fab link)
-              (Tap.make
-                 ~on_dequeue:(fun ~link:_ ~now:_ ~wait _ ->
-                   Ispn_util.Loghist.add ch wait)
-                 ())
-          done;
+          Experiment.attach_wait_hists (Fabric.network fab) h;
           let s = Ispn_obs.Series.create ~interval ~metrics:m () in
           Engine.attach_series engine s;
           Some (s, h)
@@ -1390,16 +1378,12 @@ let run_failover ?(duration = 120.) ?(seed = 42L) ?(j = 1) ?series_interval () =
                  ~on_result:(fun _ -> ())))
     | F_baseline | F_link_flap | F_control_loss -> ());
     Engine.run engine ~until:duration;
-    let lost = ref 0 in
-    for link = 0 to n_links - 1 do
-      lost := !lost + Link.dropped (Fabric.link fab link)
-    done;
     {
       fo_schedule = schedule;
       fo_violation_rate =
         (if !rt_packets = 0 then 0.
          else float_of_int !violations /. float_of_int !rt_packets);
-      fo_lost = !lost;
+      fo_lost = Network.total_dropped (Fabric.network fab);
       fo_retries = Signaling.retries sg;
       fo_abandoned = Signaling.abandoned_count sg;
       fo_crashes = Signaling.crash_count sg;
@@ -1577,9 +1561,7 @@ let run_churn ?(duration = 120.) ?(seed = 42L) ?(lambda = 420.) ?(j = 1)
     (match audit with
     | None -> ()
     | Some a ->
-        for link = 0 to n_links - 1 do
-          Ispn_check.Audit.attach_link a (Fabric.link fab link)
-        done;
+        Ispn_check.Audit.attach_network a (Fabric.network fab);
         Signaling.register_audit sg a;
         Ispn_check.Audit.register_flow_state a ~label:"flow-slots"
           ~admitted:(fun () -> Ispn_util.Idpool.takes pool)
@@ -1602,10 +1584,7 @@ let run_churn ?(duration = 120.) ?(seed = 42L) ?(lambda = 420.) ?(j = 1)
       | Some interval ->
           let m = Ispn_obs.Metrics.create () in
           Engine.register_metrics engine m;
-          for link = 0 to n_links - 1 do
-            Link.register_metrics (Fabric.link fab link) m
-              ~prefix:(Printf.sprintf "link.%d" link)
-          done;
+          Network.register_metrics (Fabric.network fab) m;
           Signaling.register_metrics sg m ();
           Experiment.register_arena_metrics m;
           Ispn_obs.Metrics.register_int m "flows.in_use" (fun () ->
@@ -1615,16 +1594,7 @@ let run_churn ?(duration = 120.) ?(seed = 42L) ?(lambda = 420.) ?(j = 1)
           Ispn_obs.Metrics.register_int m "flows.takes" (fun () ->
               Ispn_util.Idpool.takes pool);
           let h = Ispn_obs.Hist.create ~metrics:m () in
-          for link = 0 to n_links - 1 do
-            let ch =
-              Ispn_obs.Hist.channel h (Printf.sprintf "link.%d.wait" link)
-            in
-            Link.add_tap (Fabric.link fab link)
-              (Tap.make
-                 ~on_dequeue:(fun ~link:_ ~now:_ ~wait _ ->
-                   Ispn_util.Loghist.add ch wait)
-                 ())
-          done;
+          Experiment.attach_wait_hists (Fabric.network fab) h;
           let s = Ispn_obs.Series.create ~interval ~metrics:m () in
           Engine.attach_series engine s;
           Some (s, h)

@@ -4,11 +4,13 @@
     The paper's experiments run on the Figure-1 chain, but the architecture
     is topology-agnostic: every output link runs the unified scheduler and
     admission control reasons per-link along a flow's path.  A fabric
-    packages exactly that: the links (each with its {!Csz_sched} state),
-    a path resolver from switch pairs to link sequences, and flow
-    installation/injection. *)
+    packages exactly that: an {!Ispn_sim.Network} whose every link runs
+    the unified scheduler, with that scheduler's {!Csz_sched} state per
+    link. *)
 
 type t
+
+val network : t -> Ispn_sim.Network.t
 
 val engine : t -> Ispn_sim.Engine.t
 val n_links : t -> int
@@ -17,13 +19,13 @@ val sched : t -> link:int -> Csz_sched.t
 val link : t -> int -> Ispn_sim.Link.t
 
 val path : t -> ingress:int -> egress:int -> int list option
-(** Link indices a flow from [ingress] to [egress] traverses; [None] when
-    unreachable, [Some []] when [ingress = egress]. *)
+(** {!Ispn_sim.Network.path}: link indices from [ingress] to [egress]. *)
 
 val install_flow :
   t -> flow:int -> ingress:int -> egress:int -> sink:(Ispn_sim.Packet.t -> unit) ->
   unit
-(** Raises [Failure] when no path exists. *)
+(** {!Ispn_sim.Network.install_flow}; raises [Failure] when no path
+    exists. *)
 
 val inject : t -> at_switch:int -> Ispn_sim.Packet.t -> unit
 
@@ -52,5 +54,6 @@ val topology :
   ?buffer_packets:int ->
   unit ->
   t
-(** Arbitrary directed links (shortest-path routed).  Duplicate links and
-    self-loops are rejected as in {!Ispn_sim.Topology.connect}. *)
+(** Arbitrary directed links, built by {!Ispn_sim.Network.graph}: link [i]
+    is the [i]-th entry of [links].  Duplicate links and self-loops raise
+    [Invalid_argument]. *)

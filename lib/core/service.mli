@@ -73,7 +73,8 @@ val request :
     [own_bucket] lets a guaranteed client communicate its private traffic
     characterization so the advertised bound can be computed (the network
     itself never uses it).  Fails with an explanation when the path does
-    not exist or admission control refuses. *)
+    not exist or admission control refuses; raises [Invalid_argument] on a
+    switch outside the fabric. *)
 
 val teardown : t -> flow:int -> unit
 (** Release the flow's reservations and class assignments. *)

@@ -108,7 +108,8 @@ val setup :
     is retransmitted with backoff; if the path stays dark past the retry
     budget, [on_result] gets [Error "setup timed out at hop ..."] and every
     reservation made so far is rolled back.  Raises [Invalid_argument] when
-    a setup for [flow] is already in flight. *)
+    a setup for [flow] is already in flight or a switch is outside the
+    fabric. *)
 
 val teardown : t -> flow:int -> unit
 (** Release an established flow's reservations at every hop (immediate;

@@ -32,7 +32,7 @@ val create :
 (** The receiver is attached afterwards with {!set_receiver} so that
     topologies with cycles of references can be wired up.  [id] (default 0)
     is the hop index stamped on recorder events and used in metric names;
-    {!Network.chain} numbers its links 0..n-1.  Without [recorder] the link
+    {!Network.graph} numbers its links 0..n-1.  Without [recorder] the link
     records nothing and the event paths stay allocation-free. *)
 
 val set_receiver : t -> (Packet.t -> unit) -> unit

@@ -2,7 +2,8 @@
 
     The paper's experiments run one topology on one engine; this module
     partitions a single simulation over several domains so a large
-    topology (ROADMAP item 1: city-scale scenarios) uses every core.
+    topology uses every core.  Flows follow {!Network.Routes}, the
+    fewest-hops routes {!Network} uses.
     Synchronization is conservative, Chandy–Misra–Bryant style: the
     switches are split into shards, each shard owns an {!Engine}, the
     links it transmits on, and — via the per-domain arena — every packet
@@ -100,8 +101,10 @@ val run :
     per shard, in its domain, after the shard's links and flows are
     wired but before the first window — the hook for per-shard engine
     attachments such as [--series] samplers.  Raises [Invalid_argument]
-    for inconsistent specs, including a cross-shard link with zero
-    propagation delay (no lookahead, no conservative window). *)
+    for inconsistent specs, including a flow endpoint out of range, a
+    duplicate link and a cross-shard link with zero propagation delay (no
+    lookahead, no conservative window); raises [Failure] when a flow's
+    egress is unreachable. *)
 
 (**/**)
 

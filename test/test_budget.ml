@@ -195,6 +195,36 @@ let test_table3_words_per_transmission () =
        <= 13)"
       duration per
 
+let test_route_lookup_budget () =
+  (* Signaling resolves every session's route through [Fabric.path]; once
+     the ingress's tree is built, a lookup allocates only its result: one
+     cons cell (3 words) per link plus the [Some] (2). *)
+  let engine = Engine.create () in
+  let fab = Csz.Fabric.chain ~engine ~n_switches:5 () in
+  let per =
+    per_n
+      (fun () ->
+        ignore (Sys.opaque_identity (Csz.Fabric.path fab ~ingress:0 ~egress:4)))
+      10_000
+  in
+  if per > float_of_int ((3 * 4) + 2) then
+    Alcotest.failf "route lookup: %.1f minor words for 4 hops (expected <= 14)"
+      per
+
+let test_scale_setup_budget () =
+  (* Parking-lot setup: 2000 flows over 20 switches.  Routes are one BFS
+     tree per distinct ingress (at most 20); the spawning domain measures
+     about 85 k minor words, and one search per flow would cost about
+     970 k.  The shard's own domain is not counted by [Gc.minor_words]. *)
+  let before = Gc.minor_words () in
+  ignore (Csz.Extensions.run_scale ~duration:1e-6 ());
+  let words = Gc.minor_words () -. before in
+  if words > 150_000. then
+    Alcotest.failf
+      "run_scale setup: %.0f minor words (expected <= 150000 — routing \
+       must stay per ingress, not per flow)"
+      words
+
 let test_idpool_cycle_zero_alloc () =
   (* The flow-slot free list under churn: once warm, a session open/close
      is three dense-array stores and an int push/pop — no boxing. *)
@@ -363,6 +393,10 @@ let suite =
       test_link_hop_budget;
     Alcotest.test_case "table3 words per transmission" `Quick
       test_table3_words_per_transmission;
+    Alcotest.test_case "route lookup within budget" `Quick
+      test_route_lookup_budget;
+    Alcotest.test_case "scale setup within budget" `Quick
+      test_scale_setup_budget;
     Alcotest.test_case "idpool cycle allocates nothing" `Quick
       test_idpool_cycle_zero_alloc;
     Alcotest.test_case "sched session open/close within budget" `Quick

@@ -32,6 +32,31 @@ let test_topology_paths () =
   Alcotest.(check (option (list int))) "unreachable" None
     (Fabric.path f ~ingress:3 ~egress:0)
 
+let test_topology_link_ids () =
+  let engine = Engine.create () in
+  let f = diamond engine in
+  for i = 0 to Fabric.n_links f - 1 do
+    Alcotest.(check int) "link id is its index" i (Link.id (Fabric.link f i))
+  done;
+  (* One audit over every link keeps one state per link: a standing queue
+     on link 0 balances against link 0's own qdisc, and the report-time
+     conservation check runs twice per link plus once network-wide. *)
+  let a = Ispn_check.Audit.create () in
+  Ispn_check.Audit.attach_network a (Fabric.network f);
+  Fabric.install_flow f ~flow:9 ~ingress:0 ~egress:3 ~sink:Packet.free;
+  for seq = 0 to 2 do
+    Fabric.inject f ~at_switch:0 (Packet.make ~flow:9 ~seq ~created:0. ())
+  done;
+  let s = Ispn_check.Audit.finalize a in
+  Alcotest.(check int) "no violations" 0 s.Ispn_check.Audit.violations;
+  let conservation =
+    List.find
+      (fun i -> i.Ispn_check.Audit.inv_name = "conservation")
+      s.Ispn_check.Audit.invariants
+  in
+  Alcotest.(check int) "four link states" ((2 * 4) + 1)
+    conservation.Ispn_check.Audit.inv_checks
+
 let test_topology_delivery () =
   let engine = Engine.create () in
   let f = diamond engine in
@@ -92,6 +117,7 @@ let suite =
   [
     Alcotest.test_case "chain paths" `Quick test_chain_paths;
     Alcotest.test_case "topology paths" `Quick test_topology_paths;
+    Alcotest.test_case "topology link ids" `Quick test_topology_link_ids;
     Alcotest.test_case "topology delivery" `Quick test_topology_delivery;
     Alcotest.test_case "service over topology" `Quick
       test_service_over_topology;

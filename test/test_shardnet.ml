@@ -170,9 +170,25 @@ let test_exchange_budget () =
        boxing)"
       per
 
+let test_flow_endpoints_validated () =
+  let base = spec_of ~n:4 ~nflows:2 ~seed:3 ~shards:2 in
+  let rejects what f =
+    let flows = Array.copy base.Shardnet.flows in
+    flows.(1) <- f flows.(1);
+    match Shardnet.run ~until:0.1 { base with Shardnet.flows } with
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" what
+    | exception Invalid_argument msg ->
+        Alcotest.(check string) what
+          "Shardnet: flow 1 endpoint out of range" msg
+  in
+  rejects "dst past the last switch" (fun f -> { f with Shardnet.f_dst = 4 });
+  rejects "negative src" (fun f -> { f with Shardnet.f_src = -1 })
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_shard_invariant;
     Alcotest.test_case "drop accounting across widths" `Quick test_drops_agree;
     Alcotest.test_case "exchange allocation budget" `Quick test_exchange_budget;
+    Alcotest.test_case "flow endpoints validated" `Quick
+      test_flow_endpoints_validated;
   ]
