@@ -12,6 +12,9 @@ type flow_record = {
   cls : int option;
 }
 
+(* An all-float record, so summing into it stores unboxed floats. *)
+type sum = { mutable total : float }
+
 type t = {
   mu : float;
   class_targets : float array;
@@ -23,9 +26,16 @@ type t = {
   mutable rejected : int;
   mutable admissions : int;  (* cumulative grants, incl. datagram records *)
   mutable releases : int;  (* cumulative releases, incl. reset wipes *)
+  (* [nu_hat]'s accumulator and the iteration step that adds into it, made
+     once here so an admission test allocates neither. *)
+  acc : sum;
+  add_rate : int -> float * int -> unit;
+  admitted_cls : decision array;  (* [Admitted { cls = Some j }] at [j] *)
 }
 
-type decision = Admitted of { cls : int option } | Rejected of string
+and decision = Admitted of { cls : int option } | Rejected of string
+
+let admitted_none = Admitted { cls = None }
 
 let create ~n_links ~mu_bps ~class_targets ?(datagram_quota = 0.1)
     ?(meter_epochs = 8) () =
@@ -36,6 +46,7 @@ let create ~n_links ~mu_bps ~class_targets ?(datagram_quota = 0.1)
     if class_targets.(i) <= class_targets.(i - 1) then
       invalid_arg "Controller.create: class targets must be increasing"
   done;
+  let acc = { total = 0. } in
   {
     mu = mu_bps;
     class_targets;
@@ -53,6 +64,9 @@ let create ~n_links ~mu_bps ~class_targets ?(datagram_quota = 0.1)
     rejected = 0;
     admissions = 0;
     releases = 0;
+    acc;
+    add_rate = (fun _ (rate, _) -> acc.total <- acc.total +. rate);
+    admitted_cls = Array.init k (fun j -> Admitted { cls = Some j });
   }
 
 let n_classes t = Array.length t.class_targets
@@ -75,15 +89,10 @@ let epoch t =
       List.iter (Hashtbl.remove ls.unmeasured) stale)
     t.links
 
-(* An all-float record, so summing into it stores unboxed floats. *)
-type sum = { mutable total : float }
-
 let nu_hat t ls =
-  let acc = { total = 0. } in
-  Hashtbl.iter
-    (fun _ (rate, _) -> acc.total <- acc.total +. rate)
-    ls.unmeasured;
-  Meter.util_hat ls.meter +. (acc.total /. t.mu)
+  t.acc.total <- 0.;
+  Hashtbl.iter t.add_rate ls.unmeasured;
+  Meter.util_hat ls.meter +. (t.acc.total /. t.mu)
 
 (* Criterion (1): real-time load incl. the newcomer stays under the quota
    complement.  Guaranteed reservations are counted at their full clock rate
@@ -111,23 +120,46 @@ let link_ok t ls ~rate ~depth ~cls =
   let nu = nu_hat t ls in
   quota_ok t ls ~nu ~rate && delay_ok t ls ~nu ~rate ~depth ~cls
 
+(* Both criteria at every link of [path], in path order, stopping at the
+   first that fails. *)
+let rec path_ok t path ~rate ~depth ~cls =
+  match path with
+  | [] -> true
+  | i :: rest ->
+      link_ok t t.links.(i) ~rate ~depth ~cls
+      && path_ok t rest ~rate ~depth ~cls
+
+(* Book [flow] at every link of [path] at its declared [rate]; a guaranteed
+   flow's rate is also reserved outright. *)
+let rec reserve t path ~flow ~rate ~guaranteed =
+  match path with
+  | [] -> ()
+  | i :: rest ->
+      let ls = t.links.(i) in
+      if guaranteed then ls.guaranteed_bps <- ls.guaranteed_bps +. rate;
+      Hashtbl.replace ls.unmeasured flow (rate, t.epoch_now);
+      reserve t rest ~flow ~rate ~guaranteed
+
+(* Cheapest class whose summed per-switch targets still meet the flow's
+   end-to-end delay target; -1 if none does. *)
 let choose_class t ~target_delay ~hops =
-  (* Cheapest class whose summed per-switch targets still meet the flow's
-     end-to-end delay target. *)
-  let k = Array.length t.class_targets in
   let rec best j =
-    if j < 0 then None
-    else if float_of_int hops *. t.class_targets.(j) <= target_delay then
-      Some j
+    if j < 0 || float_of_int hops *. t.class_targets.(j) <= target_delay then j
     else best (j - 1)
   in
-  best (k - 1)
+  best (Array.length t.class_targets - 1)
+
+let log_enabled () = Ispn_util.Log.enabled Ispn_util.Log.admission Logs.Info
 
 let reject t ~flow reason =
   t.rejected <- t.rejected + 1;
-  Logs.info ~src:Ispn_util.Log.admission (fun m ->
-      m "flow %d rejected: %s" flow reason);
+  if log_enabled () then
+    Logs.info ~src:Ispn_util.Log.admission (fun m ->
+        m "flow %d rejected: %s" flow reason);
   Rejected reason
+
+(* The burst a guaranteed flow is tested with: one packet. *)
+let packet_depth = float_of_int Ispn_util.Units.packet_bits
 
 let request t ~flow ~path request =
   if Hashtbl.mem t.flows flow then
@@ -136,64 +168,58 @@ let request t ~flow ~path request =
   | Spec.Datagram ->
       Hashtbl.replace t.flows flow { request; path; cls = None };
       t.admissions <- t.admissions + 1;
-      Admitted { cls = None }
-  | Spec.Guaranteed { clock_rate_bps = r } -> (
+      admitted_none
+  | Spec.Guaranteed { clock_rate_bps = r } ->
       if path = [] then invalid_arg "Controller.request: empty path";
-      let links = List.map (fun i -> t.links.(i)) path in
-      let depth = float_of_int Ispn_util.Units.packet_bits in
-      match
-        List.find_opt
-          (fun ls -> not (link_ok t ls ~rate:r ~depth ~cls:(-1)))
-          links
-      with
-      | Some _ -> reject t ~flow "guaranteed: insufficient capacity on path"
-      | None ->
-          List.iter
-            (fun ls ->
-              ls.guaranteed_bps <- ls.guaranteed_bps +. r;
-              Hashtbl.replace ls.unmeasured flow (r, t.epoch_now))
-            links;
-          Hashtbl.replace t.flows flow { request; path; cls = None };
-          t.admissions <- t.admissions + 1;
+      if not (path_ok t path ~rate:r ~depth:packet_depth ~cls:(-1)) then
+        reject t ~flow "guaranteed: insufficient capacity on path"
+      else begin
+        reserve t path ~flow ~rate:r ~guaranteed:true;
+        Hashtbl.replace t.flows flow { request; path; cls = None };
+        t.admissions <- t.admissions + 1;
+        if log_enabled () then
           Logs.info ~src:Ispn_util.Log.admission (fun m ->
               m "flow %d admitted (guaranteed %.0f bps)" flow r);
-          Admitted { cls = None })
-  | Spec.Predicted { bucket; target_delay; _ } -> (
+        admitted_none
+      end
+  | Spec.Predicted { bucket; target_delay; _ } ->
       if path = [] then invalid_arg "Controller.request: empty path";
-      let hops = List.length path in
-      match choose_class t ~target_delay ~hops with
-      | None -> reject t ~flow "predicted: delay target tighter than class 0"
-      | Some cls ->
-          let r = bucket.Spec.rate_bps and b = bucket.Spec.depth_bits in
-          let links = List.map (fun i -> t.links.(i)) path in
-          if List.for_all (fun ls -> link_ok t ls ~rate:r ~depth:b ~cls) links
-          then begin
-            List.iter
-              (fun ls -> Hashtbl.replace ls.unmeasured flow (r, t.epoch_now))
-              links;
-            Hashtbl.replace t.flows flow { request; path; cls = Some cls };
-            t.admissions <- t.admissions + 1;
+      let cls = choose_class t ~target_delay ~hops:(List.length path) in
+      if cls < 0 then
+        reject t ~flow "predicted: delay target tighter than class 0"
+      else
+        let r = bucket.Spec.rate_bps and b = bucket.Spec.depth_bits in
+        if path_ok t path ~rate:r ~depth:b ~cls then begin
+          reserve t path ~flow ~rate:r ~guaranteed:false;
+          Hashtbl.replace t.flows flow { request; path; cls = Some cls };
+          t.admissions <- t.admissions + 1;
+          if log_enabled () then
             Logs.info ~src:Ispn_util.Log.admission (fun m ->
                 m "flow %d admitted (predicted class %d)" flow cls);
-            Admitted { cls = Some cls }
-          end
-          else reject t ~flow "predicted: would violate a class delay target")
+          t.admitted_cls.(cls)
+        end
+        else reject t ~flow "predicted: would violate a class delay target"
+
+(* Undo [reserve] at every link of [path]. *)
+let rec unreserve t path ~flow request =
+  match path with
+  | [] -> ()
+  | i :: rest ->
+      let ls = t.links.(i) in
+      Hashtbl.remove ls.unmeasured flow;
+      (match request with
+      | Spec.Guaranteed { clock_rate_bps = r } ->
+          ls.guaranteed_bps <- ls.guaranteed_bps -. r
+      | Spec.Predicted _ | Spec.Datagram -> ());
+      unreserve t rest ~flow request
 
 let release t ~flow =
-  match Hashtbl.find_opt t.flows flow with
-  | None -> ()
-  | Some { request; path; _ } ->
+  match Hashtbl.find t.flows flow with
+  | exception Not_found -> ()
+  | { request; path; _ } ->
       Hashtbl.remove t.flows flow;
       t.releases <- t.releases + 1;
-      List.iter
-        (fun i ->
-          let ls = t.links.(i) in
-          Hashtbl.remove ls.unmeasured flow;
-          match request with
-          | Spec.Guaranteed { clock_rate_bps = r } ->
-              ls.guaranteed_bps <- ls.guaranteed_bps -. r
-          | Spec.Predicted _ | Spec.Datagram -> ())
-        path
+      unreserve t path ~flow request
 
 let mem t ~flow = Hashtbl.mem t.flows flow
 

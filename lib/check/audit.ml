@@ -136,9 +136,16 @@ let violate t c msg =
     t.n_samples <- t.n_samples + 1
   end
 
-let check t c cond msg =
+(* One evaluation of an invariant.  Call sites read
+   [if not (check c cond) then violatef t c "..." args]: the message is
+   formatted from plain arguments on the failing branch only, so a passing
+   check allocates nothing (a message closure built up front would cost
+   its captured operands on every packet). *)
+let check c cond =
   c.checks <- c.checks + 1;
-  if not cond then violate t c (msg ())
+  cond
+
+let violatef t c fmt = Printf.ksprintf (violate t c) fmt
 
 let grow (type a) (arr : a option array ref) i =
   if i >= Array.length !arr then begin
@@ -218,28 +225,30 @@ let debit_bucket t b ~now ~flow (pkt : Packet.t) =
     b.last_refill <- now
   end;
   let need = float_of_int (Packet.size_bits pkt) in
-  check t t.token_bucket
-    (b.tokens >= need -. bucket_eps)
-    (fun () ->
-      Printf.sprintf
-        "flow %d seq %d at t=%.6f: %d bits offered with only %.3f tokens \
-         (rate %.0f bps, depth %.0f bits)"
-        flow (Packet.seq pkt) now (Packet.size_bits pkt) b.tokens b.rate_bps
-        b.depth_bits);
+  if not (check t.token_bucket (b.tokens >= need -. bucket_eps)) then
+    violatef t t.token_bucket
+      "flow %d seq %d at t=%.6f: %d bits offered with only %.3f tokens \
+       (rate %.0f bps, depth %.0f bits)"
+      flow (Packet.seq pkt) now (Packet.size_bits pkt) b.tokens b.rate_bps
+      b.depth_bits;
   b.tokens <- b.tokens -. need
+
+(* What [bucket_for] returns for an unpoliced (flow, link): compared
+   physically, so a lookup allocates no [Some]. *)
+let no_bucket =
+  { b_link = -1; rate_bps = 0.; depth_bits = 0.; tokens = 0.; last_refill = 0. }
 
 let bucket_for t ~flow ~link =
   if flow < Array.length t.buckets then
     match t.buckets.(flow) with
-    | Some b when b.b_link = link -> Some b
-    | _ -> None
-  else None
+    | Some b when b.b_link = link -> b
+    | _ -> no_bucket
+  else no_bucket
 
 let on_arrival t ~link ~now (pkt : Packet.t) =
   let flow = Packet.flow pkt in
-  match bucket_for t ~flow ~link with
-  | None -> ()
-  | Some b -> debit_bucket t b ~now ~flow pkt
+  let b = bucket_for t ~flow ~link in
+  if b != no_bucket then debit_bucket t b ~now ~flow pkt
 
 let tap t =
   let pa = Packet.arena () in
@@ -248,14 +257,12 @@ let tap t =
     (match link_state t link with
     | None -> ()
     | Some ls -> ls.accepted <- ls.accepted + 1);
-    check t t.delay
-      (pa.Packet.qdelay_total.(pkt) >= -.delay_eps)
-      (fun () ->
-        Printf.sprintf
-          "flow %d seq %d at t=%.6f: negative accumulated delay %.9f on \
-           enqueue at link %d"
-          pa.Packet.flow.(pkt) pa.Packet.seq.(pkt) now
-          pa.Packet.qdelay_total.(pkt) link);
+    if not (check t.delay (pa.Packet.qdelay_total.(pkt) >= -.delay_eps)) then
+      violatef t t.delay
+        "flow %d seq %d at t=%.6f: negative accumulated delay %.9f on \
+         enqueue at link %d"
+        pa.Packet.flow.(pkt) pa.Packet.seq.(pkt) now
+        pa.Packet.qdelay_total.(pkt) link;
     on_arrival t ~link ~now pkt
   in
   let on_dequeue ~link ~now ~wait (pkt : Packet.t) =
@@ -263,22 +270,19 @@ let tap t =
     (match link_state t link with
     | None -> ()
     | Some ls -> ls.dequeued <- ls.dequeued + 1);
-    check t t.delay
-      (wait >= -.delay_eps)
-      (fun () ->
-        Printf.sprintf
-          "flow %d seq %d at t=%.6f: dequeued %.9fs before it arrived at \
-           link %d"
-          pa.Packet.flow.(pkt) pa.Packet.seq.(pkt) now (-.wait) link)
+    if not (check t.delay (wait >= -.delay_eps)) then
+      violatef t t.delay
+        "flow %d seq %d at t=%.6f: dequeued %.9fs before it arrived at link %d"
+        pa.Packet.flow.(pkt) pa.Packet.seq.(pkt) now (-.wait) link
   in
   let on_idle ~link ~now ~qlen =
     t.events <- t.events + 1;
     match link_state t link with
     | Some ls when ls.wc ->
-        check t t.work_conservation (qlen = 0) (fun () ->
-            Printf.sprintf
-              "link %d (%s) went idle at t=%.6f with %d packets queued" link
-              ls.l_name now qlen)
+        if not (check t.work_conservation (qlen = 0)) then
+          violatef t t.work_conservation
+            "link %d (%s) went idle at t=%.6f with %d packets queued" link
+            ls.l_name now qlen
     | _ -> ()
   in
   let on_deliver ~link ~now (pkt : Packet.t) =
@@ -286,26 +290,24 @@ let tap t =
     (match link_state t link with
     | None -> ()
     | Some ls -> ls.delivered <- ls.delivered + 1);
-    check t t.delay
-      (pa.Packet.qdelay_total.(pkt) >= -.delay_eps)
-      (fun () ->
-        Printf.sprintf
-          "flow %d seq %d at t=%.6f: delivered with negative accumulated \
-           delay %.9f"
-          pa.Packet.flow.(pkt) pa.Packet.seq.(pkt) now
-          pa.Packet.qdelay_total.(pkt));
+    if not (check t.delay (pa.Packet.qdelay_total.(pkt) >= -.delay_eps)) then
+      violatef t t.delay
+        "flow %d seq %d at t=%.6f: delivered with negative accumulated delay \
+         %.9f"
+        pa.Packet.flow.(pkt) pa.Packet.seq.(pkt) now
+        pa.Packet.qdelay_total.(pkt);
     let flow = pa.Packet.flow.(pkt) in
     if flow < Array.length t.bounds then
       match t.bounds.(flow) with
       | Some g when g.g_link = link ->
-          check t (bound_counter t g.g_kind)
-            (pa.Packet.qdelay_total.(pkt) <= g.bound_s +. bound_eps)
-            (fun () ->
-              Printf.sprintf
-                "flow %d seq %d at t=%.6f: queueing delay %.6fs exceeds the \
-                 %s bound %.6fs"
-                flow pa.Packet.seq.(pkt) now pa.Packet.qdelay_total.(pkt)
-                (bound_label g.g_kind) g.bound_s)
+          let c = bound_counter t g.g_kind in
+          if not (check c (pa.Packet.qdelay_total.(pkt) <= g.bound_s +. bound_eps))
+          then
+            violatef t c
+              "flow %d seq %d at t=%.6f: queueing delay %.6fs exceeds the %s \
+               bound %.6fs"
+              flow pa.Packet.seq.(pkt) now pa.Packet.qdelay_total.(pkt)
+              (bound_label g.g_kind) g.bound_s
       | _ -> ()
   in
   let on_drop ~link ~now ~cause (pkt : Packet.t) =
@@ -348,44 +350,37 @@ type summary = {
 
 let final_link_checks t ls =
   let backlog = ls.l_qdisc.Qdisc.length () in
-  check t t.conservation
-    (ls.accepted - ls.dequeued = backlog)
-    (fun () ->
-      Printf.sprintf
-        "link %d (%s): accepted %d - dequeued %d <> %d still queued" ls.l_id
-        ls.l_name ls.accepted ls.dequeued backlog);
+  if not (check t.conservation (ls.accepted - ls.dequeued = backlog)) then
+    violatef t t.conservation
+      "link %d (%s): accepted %d - dequeued %d <> %d still queued" ls.l_id
+      ls.l_name ls.accepted ls.dequeued backlog;
   let in_flight = ls.dequeued - ls.delivered - ls.drops_down - ls.drops_wire in
-  check t t.conservation (in_flight >= 0) (fun () ->
-      Printf.sprintf
-        "link %d (%s): dequeued %d < delivered %d + dropped %d after dequeue"
-        ls.l_id ls.l_name ls.dequeued ls.delivered
-        (ls.drops_down + ls.drops_wire))
+  if not (check t.conservation (in_flight >= 0)) then
+    violatef t t.conservation
+      "link %d (%s): dequeued %d < delivered %d + dropped %d after dequeue"
+      ls.l_id ls.l_name ls.dequeued ls.delivered
+      (ls.drops_down + ls.drops_wire)
 
 let final_pool_checks t (link, p) =
   let in_use = Qdisc.pool_in_use p in
-  check t t.pool
-    (Qdisc.pool_takes p = Qdisc.pool_releases p + in_use)
-    (fun () ->
-      Printf.sprintf "link %d: %d takes <> %d releases + %d in use" link
-        (Qdisc.pool_takes p) (Qdisc.pool_releases p) in_use);
-  check t t.pool (in_use >= 0) (fun () ->
-      Printf.sprintf "link %d: pool in_use %d negative" link in_use);
-  check t t.pool
-    (Qdisc.pool_hwm p <= Qdisc.pool_capacity p)
-    (fun () ->
-      Printf.sprintf "link %d: pool high-water %d above capacity %d" link
-        (Qdisc.pool_hwm p) (Qdisc.pool_capacity p));
+  if not (check t.pool (Qdisc.pool_takes p = Qdisc.pool_releases p + in_use))
+  then
+    violatef t t.pool "link %d: %d takes <> %d releases + %d in use" link
+      (Qdisc.pool_takes p) (Qdisc.pool_releases p) in_use;
+  if not (check t.pool (in_use >= 0)) then
+    violatef t t.pool "link %d: pool in_use %d negative" link in_use;
+  if not (check t.pool (Qdisc.pool_hwm p <= Qdisc.pool_capacity p)) then
+    violatef t t.pool "link %d: pool high-water %d above capacity %d" link
+      (Qdisc.pool_hwm p) (Qdisc.pool_capacity p);
   match link_state t link with
   | None -> ()
   | Some ls ->
-      check t t.pool
-        (in_use = ls.l_qdisc.Qdisc.length ())
-        (fun () ->
-          Printf.sprintf
-            "link %d (%s): pool holds %d buffers but the qdisc reports %d \
-             packets (leak)"
-            link ls.l_name in_use
-            (ls.l_qdisc.Qdisc.length ()))
+      let queued = ls.l_qdisc.Qdisc.length () in
+      if not (check t.pool (in_use = queued)) then
+        violatef t t.pool
+          "link %d (%s): pool holds %d buffers but the qdisc reports %d \
+           packets (leak)"
+          link ls.l_name in_use queued
 
 (* Soft-state leak accounting (DESIGN.md §9, "flow-state"): a book of
    reservations or slots must balance its cumulative counters — live =
@@ -396,19 +391,17 @@ let final_flow_state_checks t f =
   let admitted = f.f_admitted () in
   let released = f.f_released () in
   let live = f.f_live () in
-  check t t.flow_state (live >= 0) (fun () ->
-      Printf.sprintf "%s: live count %d negative" f.f_label live);
-  check t t.flow_state
-    (admitted = released + live)
-    (fun () ->
-      Printf.sprintf "%s: %d admitted <> %d released + %d live (leak)"
-        f.f_label admitted released live);
+  if not (check t.flow_state (live >= 0)) then
+    violatef t t.flow_state "%s: live count %d negative" f.f_label live;
+  if not (check t.flow_state (admitted = released + live)) then
+    violatef t t.flow_state "%s: %d admitted <> %d released + %d live (leak)"
+      f.f_label admitted released live;
   match f.f_bad with
   | None -> ()
   | Some bad ->
       let n = bad () in
-      check t t.flow_state (n = 0) (fun () ->
-          Printf.sprintf "%s: %d bad releases" f.f_label n)
+      if not (check t.flow_state (n = 0)) then
+        violatef t t.flow_state "%s: %d bad releases" f.f_label n
 
 (* Packet-arena accounting since the baseline: every successful [make]
    must balance a [free] or a live handle, and no handle may be freed
@@ -419,21 +412,21 @@ let final_arena_checks t =
   let d_takes = c.Packet.p_takes - b.Packet.p_takes in
   let d_releases = c.Packet.p_releases - b.Packet.p_releases in
   let d_bad = c.Packet.p_bad_frees - b.Packet.p_bad_frees in
-  check t t.arena (d_bad = 0) (fun () ->
-      Printf.sprintf "arena: %d frees of dead packet slots" d_bad);
-  check t t.arena (d_releases <= d_takes) (fun () ->
-      Printf.sprintf "arena: %d releases exceed %d takes" d_releases d_takes);
-  check t t.arena
-    (c.Packet.p_in_use = b.Packet.p_in_use + d_takes - d_releases)
-    (fun () ->
-      Printf.sprintf
-        "arena: %d in use <> %d at baseline + %d takes - %d releases"
-        c.Packet.p_in_use b.Packet.p_in_use d_takes d_releases);
-  check t t.arena
-    (c.Packet.p_hwm <= c.Packet.p_capacity)
-    (fun () ->
-      Printf.sprintf "arena: high-water %d above capacity %d" c.Packet.p_hwm
-        c.Packet.p_capacity)
+  if not (check t.arena (d_bad = 0)) then
+    violatef t t.arena "arena: %d frees of dead packet slots" d_bad;
+  if not (check t.arena (d_releases <= d_takes)) then
+    violatef t t.arena "arena: %d releases exceed %d takes" d_releases d_takes;
+  if
+    not
+      (check t.arena
+         (c.Packet.p_in_use = b.Packet.p_in_use + d_takes - d_releases))
+  then
+    violatef t t.arena
+      "arena: %d in use <> %d at baseline + %d takes - %d releases"
+      c.Packet.p_in_use b.Packet.p_in_use d_takes d_releases;
+  if not (check t.arena (c.Packet.p_hwm <= c.Packet.p_capacity)) then
+    violatef t t.arena "arena: high-water %d above capacity %d" c.Packet.p_hwm
+      c.Packet.p_capacity
 
 let finalize t =
   final_arena_checks t;
@@ -451,13 +444,15 @@ let finalize t =
     t.links;
   List.iter (final_pool_checks t) (List.rev t.pools);
   List.iter (final_flow_state_checks t) (List.rev t.fstates);
-  if !n_links > 0 then
-    check t t.conservation
-      (!total_accepted = !total_dequeued + !total_backlog)
-      (fun () ->
-        Printf.sprintf
-          "network: %d accepted <> %d dequeued + %d queued across %d links"
-          !total_accepted !total_dequeued !total_backlog !n_links);
+  if
+    !n_links > 0
+    && not
+         (check t.conservation
+            (!total_accepted = !total_dequeued + !total_backlog))
+  then
+    violatef t t.conservation
+      "network: %d accepted <> %d dequeued + %d queued across %d links"
+      !total_accepted !total_dequeued !total_backlog !n_links;
   let invariants =
     List.map
       (fun c ->

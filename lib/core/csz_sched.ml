@@ -424,6 +424,8 @@ let add_guaranteed t ~flow ~clock_rate_bps =
   gf.g_qlen.(flow) <- 0;
   gf.g_retiring.(flow) <- false
 
+let is_guaranteed t ~flow = g_weight_of t flow > 0.
+
 let remove_guaranteed t ~flow =
   let w = g_weight_of t flow in
   if w <= 0. then invalid_arg "Csz_sched.remove_guaranteed: unknown flow"

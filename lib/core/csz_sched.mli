@@ -70,6 +70,11 @@ val remove_guaranteed : t -> flow:int -> unit
     served under the old reservation and the flow is unregistered once it
     drains.  Raises [Invalid_argument] for an unknown flow. *)
 
+val is_guaranteed : t -> flow:int -> bool
+(** Whether [flow] holds a reservation: exactly when {!remove_guaranteed}
+    would not raise.  A removed flow still draining counts until it
+    drains. *)
+
 val set_predicted : t -> flow:int -> cls:int -> unit
 (** Put [flow] in predicted class [cls] (0 = highest priority). *)
 

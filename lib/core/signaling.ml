@@ -31,12 +31,16 @@ let level_of = function
 (* A setup in flight.  [granted] records, per completed hop, the link index
    and the class granted there (None = guaranteed), newest first — exactly
    what a rollback must undo.  [attempts] counts retransmissions of the
-   message currently on the wire (reset when a hop answers). *)
+   message currently on the wire (reset when a hop answers).  A setup has
+   at most one message on the wire: [token] and [hop] name it, [timeout_h]
+   is its retransmission timer and [on_timeout] that timer's action, built
+   on the first send and re-armed for every later one. *)
 type setup_ctx = {
   ctx_flow : int;
   ingress : int;
   egress : int;
   spec : Spec.request;
+  local : Spec.request;  (* [spec] as each hop's controller sees it *)
   own_bucket : Spec.bucket option;
   sink : Packet.t -> unit;
   on_result : (established, string) result -> unit;
@@ -45,7 +49,10 @@ type setup_ctx = {
   mutable granted : (int * int option) list;
   mutable bound_acc : float;  (* summed class targets along the path *)
   mutable attempts : int;
-  mutable timeout_h : Engine.handle option;
+  mutable token : int;
+  mutable hop : int;
+  mutable timeout_h : Engine.handle;
+  mutable on_timeout : unit -> unit;
 }
 
 (* A refresh epoch walking the path, stamping each agent's soft state; if
@@ -73,10 +80,11 @@ type pending =
 
 (* Established flows keep everything a post-crash re-setup needs: the path,
    the original request and the rung of the degradation ladder currently in
-   force; plus the soft-state machinery — the periodic refresh timer and
-   the token of the refresh leg currently on the wire (-1 = none), which a
-   teardown must invalidate so a delayed refresh cannot resurrect state
-   for a dead flow. *)
+   force; plus the soft-state machinery — the periodic refresh timer, its
+   action (built once per flow, re-armed every epoch) and the token of the
+   refresh leg currently on the wire (-1 = none), which a teardown must
+   invalidate so a delayed refresh cannot resurrect state for a dead
+   flow. *)
 type flow_record = {
   mutable fr_granted : (int * int option) list;
   fr_ingress : int;
@@ -84,7 +92,8 @@ type flow_record = {
   fr_own_bucket : Spec.bucket option;
   fr_requested : Spec.request;
   mutable fr_current : Spec.request;
-  mutable fr_refresh_h : Engine.handle option;
+  mutable fr_refresh_h : Engine.handle;
+  mutable fr_refresh : unit -> unit;
   mutable fr_refresh_token : int;
 }
 
@@ -99,6 +108,11 @@ type t = {
   (* One single-link controller per link, owned by that link's upstream
      agent. *)
   ctrls : Controller.t array;
+  (* [Fabric.path] for every (ingress, egress) pair, resolved once. *)
+  paths : int list option array array;
+  (* Per switch, the host-side injection every session entering there
+     emits through. *)
+  injects : (Packet.t -> unit) array;
   (* Per agent: flow -> time its reservation was last asserted here.  Only
      populated when soft state is on; the sweep expires stale entries. *)
   soft : (int, float) Hashtbl.t array;
@@ -184,7 +198,9 @@ let register_audit t audit =
     ()
 
 let service_level t ~flow =
-  Option.map (fun fr -> level_of fr.fr_current) (Hashtbl.find_opt t.flows flow)
+  match Hashtbl.find t.flows flow with
+  | exception Not_found -> None
+  | fr -> Some (level_of fr.fr_current)
 
 let engine t = Fabric.engine t.fab
 
@@ -199,20 +215,28 @@ let stamp t ~link ~flow =
 let unstamp t ~link ~flow =
   if soft_state_on t then Hashtbl.remove t.soft.(link) flow
 
+let nop () = ()
+
 let new_token t =
   let token = t.next_token in
   t.next_token <- t.next_token + 1;
   token
 
 let set_refresh_token t ~flow token =
-  match Hashtbl.find_opt t.flows flow with
-  | None -> ()
-  | Some fr -> fr.fr_refresh_token <- token
+  match Hashtbl.find t.flows flow with
+  | exception Not_found -> ()
+  | fr -> fr.fr_refresh_token <- token
 
 let clear_refresh_token t ~flow token =
-  match Hashtbl.find_opt t.flows flow with
-  | Some fr when fr.fr_refresh_token = token -> fr.fr_refresh_token <- -1
-  | Some _ | None -> ()
+  match Hashtbl.find t.flows flow with
+  | exception Not_found -> ()
+  | fr -> if fr.fr_refresh_token = token then fr.fr_refresh_token <- -1
+
+(* Unregister a guaranteed [flow] at one link; a datagram or predicted
+   flow has nothing to remove there. *)
+let remove_guaranteed sched ~flow =
+  if Csz_sched.is_guaranteed sched ~flow then
+    Csz_sched.remove_guaranteed sched ~flow
 
 (* Drop every trace of [flow] at one hop: admission record, scheduler
    registration, soft-state stamp.  Unconditional and idempotent. *)
@@ -220,8 +244,7 @@ let wipe_hop t ~link ~flow =
   Controller.release t.ctrls.(link) ~flow;
   let sched = Fabric.sched t.fab ~link in
   Csz_sched.clear_predicted sched ~flow;
-  (try Csz_sched.remove_guaranteed sched ~flow
-   with Invalid_argument _ -> ());
+  remove_guaranteed sched ~flow;
   unstamp t ~link ~flow
 
 (* Put one control packet on the wire over [over_link], injected at its
@@ -253,18 +276,18 @@ let local_of spec ~hops =
 
 (* Forward declaration dance: agents need [process] which needs [t]. *)
 let rec process t token =
-  match Hashtbl.find_opt t.pending_msgs token with
-  | None -> ()  (* stale, duplicated or retransmitted-over control packet *)
-  | Some (P_setup (ctx, hop)) ->
+  match Hashtbl.find t.pending_msgs token with
+  | exception Not_found ->
+      ()  (* stale, duplicated or retransmitted-over control packet *)
+  | P_setup (ctx, hop) ->
       Hashtbl.remove t.pending_msgs token;
-      (match ctx.timeout_h with
-      | Some h ->
-          Engine.cancel (engine t) h;
-          ctx.timeout_h <- None
-      | None -> ());
+      if ctx.timeout_h <> Engine.no_handle then begin
+        Engine.cancel (engine t) ctx.timeout_h;
+        ctx.timeout_h <- Engine.no_handle
+      end;
       ctx.attempts <- 0;
       advance t ctx hop
-  | Some (P_refresh (rctx, hop)) ->
+  | P_refresh (rctx, hop) ->
       Hashtbl.remove t.pending_msgs token;
       (* Only a still-established flow may be refreshed: a teardown racing
          this packet has already invalidated the token, but be safe. *)
@@ -272,7 +295,7 @@ let rec process t token =
         clear_refresh_token t ~flow:rctx.rf_flow token;
         refresh_hop t rctx hop
       end
-  | Some (P_teardown (tctx, hop)) ->
+  | P_teardown (tctx, hop) ->
       Hashtbl.remove t.pending_msgs token;
       teardown_hop t tctx hop
 
@@ -283,10 +306,7 @@ and advance t ctx hop =
   else begin
     let link = List.nth ctx.path hop in
     let ctrl = t.ctrls.(link) in
-    match
-      Controller.request ctrl ~flow:ctx.ctx_flow ~path:[ 0 ]
-        (local_of ctx.spec ~hops:(List.length ctx.path))
-    with
+    match Controller.request ctrl ~flow:ctx.ctx_flow ~path:[ 0 ] ctx.local with
     | Controller.Rejected reason -> refuse t ctx hop reason
     | Controller.Admitted { cls } ->
         let sched = Fabric.sched t.fab ~link in
@@ -316,19 +336,25 @@ and forward t ctx hop =
   send_ctrl t
     ~at_switch:(ctx.ingress + List.length ctx.granted - 1)
     ~over_link:sent_over token;
-  let delay = t.setup_timeout *. (2. ** float_of_int ctx.attempts) in
-  ctx.timeout_h <-
-    Some
-      (Engine.schedule_after (engine t) ~delay (fun () ->
-           on_timeout t ctx ~token ~hop))
+  ctx.token <- token;
+  ctx.hop <- hop;
+  if ctx.on_timeout == nop then ctx.on_timeout <- (fun () -> on_timeout t ctx);
+  (* [2. ** 0.] is exactly 1., so a first send waits exactly
+     [setup_timeout]; only retransmissions compute (and box) a delay. *)
+  let delay =
+    if ctx.attempts = 0 then t.setup_timeout
+    else t.setup_timeout *. (2. ** float_of_int ctx.attempts)
+  in
+  ctx.timeout_h <- Engine.schedule_after (engine t) ~delay ctx.on_timeout
 
 (* The message (or the wire under it) was lost: retransmit with exponential
    backoff, invalidating the old token first so a copy that was merely
    delayed cannot double-reserve when it finally lands. *)
-and on_timeout t ctx ~token ~hop =
+and on_timeout t ctx =
+  let token = ctx.token and hop = ctx.hop in
   if Hashtbl.mem t.pending_msgs token then begin
     Hashtbl.remove t.pending_msgs token;
-    ctx.timeout_h <- None;
+    ctx.timeout_h <- Engine.no_handle;
     if ctx.attempts >= t.max_retries then begin
       t.abandoned <- t.abandoned + 1;
       fail t ctx ~failed_hop:(hop - 1)
@@ -356,7 +382,8 @@ and confirm t ctx =
              fr_own_bucket = ctx.own_bucket;
              fr_requested = ctx.spec;
              fr_current = ctx.spec;
-             fr_refresh_h = None;
+             fr_refresh_h = Engine.no_handle;
+             fr_refresh = nop;
              fr_refresh_token = -1;
            };
          t.established_count <- t.established_count + 1;
@@ -364,15 +391,15 @@ and confirm t ctx =
          arm_refresh t ~flow:ctx.ctx_flow;
          Fabric.install_flow t.fab ~flow:ctx.ctx_flow ~ingress:ctx.ingress
            ~egress:ctx.egress ~sink:ctx.sink;
-         let inject pkt = Fabric.inject t.fab ~at_switch:ctx.ingress pkt in
+         let inject = t.injects.(ctx.ingress) in
          let emit, cls, bound =
            match ctx.spec with
            | Spec.Guaranteed { clock_rate_bps } ->
                let bound =
-                 Option.map
-                   (fun bucket ->
-                     Bounds.pg_bound ~bucket ~clock_rate_bps ~hops ())
-                   ctx.own_bucket
+                 match ctx.own_bucket with
+                 | None -> None
+                 | Some bucket ->
+                     Some (Bounds.pg_bound ~bucket ~clock_rate_bps ~hops ())
                in
                (inject, None, bound)
            | Spec.Predicted { bucket; _ } ->
@@ -400,13 +427,17 @@ and confirm t ctx =
                 flow = ctx.ctx_flow;
                 cls;
                 advertised_bound = bound;
-                setup_time = Engine.now (engine t) -. ctx.started_at;
+                setup_time = (Engine.clock (engine t)).v -. ctx.started_at;
                 emit;
               })))
 
+(* The bytes of [Printf.sprintf "refused at hop %d: %s"], concatenated
+   directly: a refusal is common under load, and the format machinery
+   costs several times the message. *)
 and refuse t ctx failed_hop reason =
   fail t ctx ~failed_hop
-    (Printf.sprintf "refused at hop %d: %s" (failed_hop + 1) reason)
+    (String.concat ""
+       [ "refused at hop "; string_of_int (failed_hop + 1); ": "; reason ])
 
 (* Roll back every reservation made so far, then report after the reverse
    trip. *)
@@ -427,11 +458,7 @@ and release_granted t ~flow granted =
       let sched = Fabric.sched t.fab ~link in
       (match cls with
       | Some _ -> Csz_sched.clear_predicted sched ~flow
-      | None -> (
-          (* Guaranteed or datagram; removing an unknown guaranteed flow is
-             the datagram case. *)
-          try Csz_sched.remove_guaranteed sched ~flow
-          with Invalid_argument _ -> ()));
+      | None -> remove_guaranteed sched ~flow (* or a datagram hop *));
       unstamp t ~link ~flow)
     granted
 
@@ -449,21 +476,23 @@ and arm_refresh t ~flow =
   match t.refresh_interval with
   | None -> ()
   | Some ri -> (
-      match Hashtbl.find_opt t.flows flow with
-      | None -> ()
-      | Some fr ->
+      match Hashtbl.find t.flows flow with
+      | exception Not_found -> ()
+      | fr ->
+          if fr.fr_refresh == nop then
+            fr.fr_refresh <-
+              (fun () ->
+                if Hashtbl.mem t.flows flow then begin
+                  refresh_now t ~flow;
+                  arm_refresh t ~flow
+                end);
           fr.fr_refresh_h <-
-            Some
-              (Engine.schedule_after (engine t) ~delay:ri (fun () ->
-                   if Hashtbl.mem t.flows flow then begin
-                     refresh_now t ~flow;
-                     arm_refresh t ~flow
-                   end)))
+            Engine.schedule_after (engine t) ~delay:ri fr.fr_refresh)
 
 and refresh_now t ~flow =
-  match Hashtbl.find_opt t.flows flow with
-  | None -> ()
-  | Some fr ->
+  match Hashtbl.find t.flows flow with
+  | exception Not_found -> ()
+  | fr ->
       t.refreshes <- t.refreshes + 1;
       (* Supersede any leg of the previous epoch still on the wire. *)
       if fr.fr_refresh_token >= 0 then begin
@@ -614,9 +643,9 @@ and degrade t fr spec ~hops =
   | Spec.Predicted _ | Spec.Datagram -> Spec.Datagram
 
 and resetup t ~flow ~crashed_at =
-  match Hashtbl.find_opt t.flows flow with
-  | None -> ()  (* torn down while the refresh was in flight *)
-  | Some fr -> reassert t ~flow ~crashed_at fr fr.fr_current
+  match Hashtbl.find t.flows flow with
+  | exception Not_found -> ()  (* torn down while the refresh was in flight *)
+  | fr -> reassert t ~flow ~crashed_at fr fr.fr_current
 
 (* The agent at [link] expires one un-refreshed reservation: releases the
    admission record and scheduler registration, and — when the flow is
@@ -627,9 +656,9 @@ and resetup t ~flow ~crashed_at =
 let expire t ~link ~flow =
   t.expired <- t.expired + 1;
   wipe_hop t ~link ~flow;
-  match Hashtbl.find_opt t.flows flow with
-  | None -> ()
-  | Some fr ->
+  match Hashtbl.find t.flows flow with
+  | exception Not_found -> ()
+  | fr ->
       fr.fr_granted <- List.filter (fun (l, _) -> l <> link) fr.fr_granted
 
 let deploy ~fabric:fab ?(class_targets = [| 0.008; 0.064 |])
@@ -670,6 +699,7 @@ let deploy ~fabric:fab ?(class_targets = [| 0.008; 0.064 |])
     | None -> 0.
     | Some ri -> ri *. float_of_int lifetime_epochs
   in
+  let n_switches = Fabric.n_switches fab in
   let t =
     {
       fab;
@@ -680,6 +710,13 @@ let deploy ~fabric:fab ?(class_targets = [| 0.008; 0.064 |])
       refresh_interval;
       lifetime;
       ctrls;
+      paths =
+        Array.init n_switches (fun ingress ->
+            Array.init n_switches (fun egress ->
+                Fabric.path fab ~ingress ~egress));
+      injects =
+        Array.init n_switches (fun at_switch pkt ->
+            Fabric.inject fab ~at_switch pkt);
       soft = Array.init n_links (fun _ -> Hashtbl.create 16);
       pending_msgs = Hashtbl.create 64;
       next_token = 0;
@@ -760,7 +797,13 @@ let setup t ~flow ~ingress ~egress ?own_bucket spec ~sink ~on_result =
   if Hashtbl.mem t.in_flight flow || Hashtbl.mem t.flows flow then
     invalid_arg
       (Printf.sprintf "Signaling.setup: flow %d already in flight" flow);
-  match Fabric.path t.fab ~ingress ~egress with
+  let route =
+    let n = Array.length t.paths in
+    if ingress >= 0 && ingress < n && egress >= 0 && egress < n then
+      t.paths.(ingress).(egress)
+    else Fabric.path t.fab ~ingress ~egress
+  in
+  match route with
   | None | Some [] -> on_result (Error "no route")
   | Some path ->
       Hashtbl.replace t.in_flight flow ();
@@ -770,6 +813,7 @@ let setup t ~flow ~ingress ~egress ?own_bucket spec ~sink ~on_result =
           ingress;
           egress;
           spec;
+          local = local_of spec ~hops:(List.length path);
           own_bucket;
           sink;
           on_result;
@@ -778,7 +822,10 @@ let setup t ~flow ~ingress ~egress ?own_bucket spec ~sink ~on_result =
           granted = [];
           bound_acc = 0.;
           attempts = 0;
-          timeout_h = None;
+          token = -1;
+          hop = 0;
+          timeout_h = Engine.no_handle;
+          on_timeout = nop;
         }
       in
       (* The ingress agent processes hop 0 locally, with no wire delay. *)
@@ -787,11 +834,10 @@ let setup t ~flow ~ingress ~egress ?own_bucket spec ~sink ~on_result =
 (* Cancel the refresh pump and invalidate any refresh leg on the wire, so
    a delayed refresh cannot re-assert state for a flow being removed. *)
 let cancel_refresh t fr =
-  (match fr.fr_refresh_h with
-  | Some h ->
-      Engine.cancel (engine t) h;
-      fr.fr_refresh_h <- None
-  | None -> ());
+  if fr.fr_refresh_h <> Engine.no_handle then begin
+    Engine.cancel (engine t) fr.fr_refresh_h;
+    fr.fr_refresh_h <- Engine.no_handle
+  end;
   if fr.fr_refresh_token >= 0 then begin
     Hashtbl.remove t.pending_msgs fr.fr_refresh_token;
     fr.fr_refresh_token <- -1
@@ -804,16 +850,16 @@ let remove_record t ~flow fr =
   t.teardowns <- t.teardowns + 1
 
 let teardown t ~flow =
-  match Hashtbl.find_opt t.flows flow with
-  | None -> ()
-  | Some fr ->
+  match Hashtbl.find t.flows flow with
+  | exception Not_found -> ()
+  | fr ->
       remove_record t ~flow fr;
       release_granted t ~flow fr.fr_granted
 
 let depart t ~flow =
-  match Hashtbl.find_opt t.flows flow with
-  | None -> ()
-  | Some fr ->
+  match Hashtbl.find t.flows flow with
+  | exception Not_found -> ()
+  | fr ->
       remove_record t ~flow fr;
       (* The ingress hop is released locally; the rest of the path learns
          by in-band teardown message, each hop releasing and forwarding.
@@ -844,9 +890,7 @@ let crash_agent t ~switch =
           if l = link then
             match cls with
             | Some _ -> Csz_sched.clear_predicted sched ~flow
-            | None -> (
-                try Csz_sched.remove_guaranteed sched ~flow
-                with Invalid_argument _ -> ()))
+            | None -> remove_guaranteed sched ~flow)
         fr.fr_granted;
       if List.mem link fr.fr_path && fr.fr_current <> Spec.Datagram then
         affected := flow :: !affected)

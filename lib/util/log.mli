@@ -14,6 +14,11 @@ val admission : Logs.src
 val service : Logs.src
 (** [ispn.service] — flow establishment and teardown (info level). *)
 
+val enabled : Logs.src -> Logs.level -> bool
+(** Whether a message at [level] from [src] would be reported: the test
+    {!Logs} applies itself.  Guarding a call with it keeps a disabled log
+    line from allocating its optional [~src] and its message closure. *)
+
 val setup : ?level:Logs.level -> unit -> unit
 (** Install a [Format]-based stderr reporter at [level] (default
     [Logs.Info]) for every [ispn.*] source. *)

@@ -243,6 +243,85 @@ let test_footer_lines () =
   Alcotest.(check bool) "includes a sample" true
     (List.exists (fun l -> Helpers.contains l "!!") lines)
 
+(* --- the exact violation text of every per-packet invariant --- *)
+
+(* One violation of one invariant: the sample line, the invariant's own
+   check count and the summary's total (report-time checks included). *)
+let expect_one s ~inv:name ~checks ~total msg =
+  Alcotest.(check (list string)) (name ^ " sample") [ msg ] s.Audit.samples;
+  Alcotest.(check int) (name ^ " violations") 1 (violations name s);
+  Alcotest.(check int) (name ^ " checks") checks (inv name s).Audit.inv_checks;
+  Alcotest.(check int) (name ^ " total checks") total s.Audit.checks
+
+(* A registered work-conserving link (its qdisc is named "FIFO") with
+   nothing queued, for the taps that consult link state. *)
+let registered_link a ~id =
+  let engine = Engine.create () in
+  let link =
+    Link.create ~engine ~rate_bps:1e6 ~id ~qdisc:(lazy_fifo ()) ~name:"l" ()
+  in
+  Audit.attach_link a link
+
+let test_violation_messages_pinned () =
+  (* Negative accumulated delay on enqueue.  Four arena checks run at
+     report time in every case. *)
+  let a = Audit.create () in
+  let p = Helpers.pkt ~flow:2 ~seq:5 () in
+  Packet.set_qdelay_total p (-0.25);
+  (Audit.tap a).Tap.on_enqueue ~link:3 ~now:1.5 p;
+  expect_one (Audit.finalize a) ~inv:"delay" ~checks:1 ~total:5
+    "delay: flow 2 seq 5 at t=1.500000: negative accumulated delay \
+     -0.250000000 on enqueue at link 3";
+  (* ... and on delivery. *)
+  let a = Audit.create () in
+  let p = Helpers.pkt ~seq:1 () in
+  Packet.set_qdelay_total p (-0.5);
+  (Audit.tap a).Tap.on_deliver ~link:0 ~now:2.0 p;
+  expect_one (Audit.finalize a) ~inv:"delay" ~checks:1 ~total:5
+    "delay: flow 0 seq 1 at t=2.000000: delivered with negative \
+     accumulated delay -0.500000000";
+  (* Negative wait. *)
+  let a = Audit.create () in
+  (Audit.tap a).Tap.on_dequeue ~link:4 ~now:1.0 ~wait:(-0.001)
+    (Helpers.pkt ~flow:6 ~seq:9 ());
+  expect_one (Audit.finalize a) ~inv:"delay" ~checks:1 ~total:5
+    "delay: flow 6 seq 9 at t=1.000000: dequeued 0.001000000s before it \
+     arrived at link 4";
+  (* Idle with a backlog; the registered link adds three conservation
+     checks at report time. *)
+  let a = Audit.create () in
+  registered_link a ~id:0;
+  (Audit.tap a).Tap.on_idle ~link:0 ~now:0.25 ~qlen:3;
+  expect_one (Audit.finalize a) ~inv:"work-conservation" ~checks:1 ~total:8
+    "work-conservation: link 0 (FIFO) went idle at t=0.250000 with 3 \
+     packets queued";
+  (* Delay-bound excess, for the PG bound and for a shaper's. *)
+  List.iter
+    (fun (kind, name, label) ->
+      let a = Audit.create () in
+      Audit.register_delay_bound a ~kind ~flow:7 ~link:2 ~bound_s:0.010;
+      let p = Helpers.pkt ~flow:7 ~seq:1 () in
+      Packet.set_qdelay_total p 0.020;
+      (Audit.tap a).Tap.on_deliver ~link:2 ~now:2. p;
+      expect_one (Audit.finalize a) ~inv:name ~checks:1 ~total:6
+        (Printf.sprintf
+           "%s: flow 7 seq 1 at t=2.000000: queueing delay 0.020000s exceeds \
+            the %s bound 0.010000s"
+           name label))
+    [ (Audit.Pg, "pg-bound", "PG"); (Audit.Cbs, "cbs-bound", "CBS") ];
+  (* Token-bucket excess: the third back-to-back packet of a two-packet
+     bucket. *)
+  let a = Audit.create () in
+  Audit.register_policed_flow a ~flow:0 ~link:0 ~rate_bps:1000.
+    ~depth_bits:2000.;
+  let tap = Audit.tap a in
+  for seq = 0 to 2 do
+    tap.Tap.on_enqueue ~link:0 ~now:0. (Helpers.pkt ~seq ())
+  done;
+  expect_one (Audit.finalize a) ~inv:"token-bucket" ~checks:3 ~total:10
+    "token-bucket: flow 0 seq 2 at t=0.000000: 1000 bits offered with only \
+     0.000 tokens (rate 1000 bps, depth 2000 bits)"
+
 let suite =
   [
     Alcotest.test_case "clean run has zero violations" `Quick
@@ -263,4 +342,6 @@ let suite =
     Alcotest.test_case "PG bound check" `Quick test_pg_bound;
     Alcotest.test_case "registration growth" `Quick test_registration_growth;
     Alcotest.test_case "footer lines" `Quick test_footer_lines;
+    Alcotest.test_case "violation messages pinned" `Quick
+      test_violation_messages_pinned;
   ]
