@@ -99,21 +99,23 @@ let nu_hat t ls =
    even when idle, since the network has promised that rate.  [nu] is the
    link's {!nu_hat}. *)
 let quota_ok t ls ~nu ~rate =
-  let nu = Stdlib.max nu (ls.guaranteed_bps /. t.mu) in
+  let g = ls.guaranteed_bps /. t.mu in
+  let nu = if nu >= g then nu else g (* [Stdlib.max], unboxed *) in
   (rate /. t.mu) +. nu < 1. -. t.datagram_quota
 
 (* Criterion (2) at one link for a flow of burst [b] entering at priority
    [cls] ([-1] = guaranteed, above every class). *)
 let delay_ok t ls ~nu ~rate ~depth ~cls =
   let headroom = t.mu -. (nu *. t.mu) -. rate in
-  let k = Array.length t.class_targets in
-  let rec check j =
-    if j >= k then true
-    else
-      let slack = t.class_targets.(j) -. Meter.delay_hat ls.meter ~cls:j in
-      if depth < slack *. headroom then check (j + 1) else false
-  in
-  headroom > 0. && check (Stdlib.max cls 0)
+  (* A loop, not a local [let rec]: that would build its closure on every
+     admission test. *)
+  let ok = ref (headroom > 0.) and j = ref (Stdlib.max cls 0) in
+  while !ok && !j < Array.length t.class_targets do
+    let slack = t.class_targets.(!j) -. Meter.delay_hat ls.meter ~cls:!j in
+    ok := depth < slack *. headroom;
+    incr j
+  done;
+  !ok
 
 (* Both criteria at one link, estimating its load once. *)
 let link_ok t ls ~rate ~depth ~cls =

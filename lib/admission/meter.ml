@@ -16,13 +16,16 @@ let create ~n_classes ?(epochs = 8) () =
     cursor = 0;
   }
 
-let note_util t u = t.util.(t.cursor) <- Stdlib.max t.util.(t.cursor) u
+(* [Stdlib.max]'s own test on floats, without its boxed C comparison. *)
+let[@inline] fmax a b = if a >= b then a else b
+
+let note_util t u = t.util.(t.cursor) <- fmax t.util.(t.cursor) u
 
 let note_delay t ~cls d =
   if cls < 0 || cls >= t.n_classes then
     invalid_arg "Meter.note_delay: class out of range";
   let row = t.delay.(t.cursor) in
-  row.(cls) <- Stdlib.max row.(cls) d
+  row.(cls) <- fmax row.(cls) d
 
 let rotate t =
   t.cursor <- (t.cursor + 1) mod t.epochs;

@@ -1532,6 +1532,8 @@ type churn_row = {
    (= flow id) is recycled through an [Idpool] once every agent's soft
    state has provably forgotten the session. *)
 type churn_session = {
+  cs_flow : int;
+  cs_with_source : bool;  (* drives a CBR source once established *)
   mutable cs_st : [ `Pending | `Active | `Gone ];
   mutable cs_wants_out : bool;  (* holding ended while setup in flight *)
   mutable cs_departed_at : float;
@@ -1620,15 +1622,44 @@ let run_churn ?(duration = 120.) ?(seed = 42L) ?(lambda = 420.) ?(j = 1)
         (Engine.schedule_after engine ~delay:reclaim (fun () ->
              Ispn_util.Idpool.release pool ~id:flow))
     in
-    let depart s flow =
+    let depart s =
       (match s.cs_src with
       | Some src -> src.Ispn_traffic.Source.stop ()
       | None -> ());
       s.cs_src <- None;
       s.cs_st <- `Gone;
       s.cs_departed_at <- Engine.now engine;
-      Signaling.depart sg ~flow;
-      release_later flow
+      Signaling.depart sg ~flow:s.cs_flow;
+      release_later s.cs_flow
+    in
+    (* A session's two callbacks are partial applications of these, so
+       each captures the session alone. *)
+    let on_result s = function
+      | Error _ ->
+          (* Refusals roll back synchronously: the slot has no residue
+             anywhere, but it still waits out the quarantine. *)
+          s.cs_st <- `Gone;
+          s.cs_departed_at <- Engine.now engine;
+          release_later s.cs_flow
+      | Ok est ->
+          if s.cs_wants_out then depart s
+          else begin
+            s.cs_st <- `Active;
+            if s.cs_with_source then begin
+              let src =
+                Ispn_traffic.Cbr.create ~engine ~flow:s.cs_flow ~rate_pps:50.
+                  ~emit:est.Signaling.emit ()
+              in
+              s.cs_src <- Some src;
+              src.Ispn_traffic.Source.start ()
+            end
+          end
+    in
+    let holding_over s () =
+      match s.cs_st with
+      | `Pending -> s.cs_wants_out <- true
+      | `Active -> depart s
+      | `Gone -> ()
     in
     (* The open-loop workload: Poisson arrivals, Pareto holding times, a
        guaranteed / predicted / datagram service mix, uniform spans on the
@@ -1640,62 +1671,46 @@ let run_churn ?(duration = 120.) ?(seed = 42L) ?(lambda = 420.) ?(j = 1)
       let ingress = Prng.int prng ~bound:(n_links - 1 + 1) in
       let egress = ingress + 1 + Prng.int prng ~bound:(n_links - ingress) in
       let u = Prng.float prng in
-      let spec, own_bucket =
-        if u < 0.15 then (
-          let rate = Dist.uniform prng ~lo:2_000. ~hi:20_000. in
-          ( Spec.Guaranteed { clock_rate_bps = rate },
-            Some { Spec.rate_bps = rate; depth_bits = 4_000. } ))
+      let spec =
+        if u < 0.15 then
+          Spec.Guaranteed
+            { clock_rate_bps = Dist.uniform prng ~lo:2_000. ~hi:20_000. }
         else if u < 0.40 then
-          ( Spec.Predicted
-              {
-                bucket =
-                  {
-                    Spec.rate_bps = Dist.uniform prng ~lo:5_000. ~hi:30_000.;
-                    depth_bits = 10_000.;
-                  };
-                target_delay = 0.256;
-                target_loss = 0.01;
-              },
-            None )
-        else (Spec.Datagram, None)
+          Spec.Predicted
+            {
+              bucket =
+                {
+                  Spec.rate_bps = Dist.uniform prng ~lo:5_000. ~hi:30_000.;
+                  depth_bits = 10_000.;
+                };
+              target_delay = 0.256;
+              target_loss = 0.01;
+            }
+        else Spec.Datagram
+      in
+      let own_bucket =
+        match spec with
+        | Spec.Guaranteed { clock_rate_bps = rate } ->
+            Some { Spec.rate_bps = rate; depth_bits = 4_000. }
+        | Spec.Predicted _ | Spec.Datagram -> None
       in
       let holding = Dist.pareto prng ~shape:1.5 ~scale:(2. /. 3.) in
-      let with_source = Dist.bernoulli prng ~p:0.01 in
       let s =
-        { cs_st = `Pending; cs_wants_out = false; cs_departed_at = 0.;
-          cs_src = None }
+        {
+          cs_flow = flow;
+          cs_with_source = Dist.bernoulli prng ~p:0.01;
+          cs_st = `Pending;
+          cs_wants_out = false;
+          cs_departed_at = 0.;
+          cs_src = None;
+        }
       in
       Hashtbl.replace sessions flow s;
       Signaling.setup sg ~flow ~ingress ~egress ?own_bucket spec
-        ~sink:Packet.free
-        ~on_result:(function
-          | Error _ ->
-              (* Refusals roll back synchronously: the slot has no residue
-                 anywhere, but it still waits out the quarantine. *)
-              s.cs_st <- `Gone;
-              s.cs_departed_at <- Engine.now engine;
-              release_later flow
-          | Ok est ->
-              if s.cs_wants_out then depart s flow
-              else begin
-                s.cs_st <- `Active;
-                if with_source then begin
-                  let src =
-                    Ispn_traffic.Cbr.create ~engine ~flow ~rate_pps:50.
-                      ~emit:est.Signaling.emit ()
-                  in
-                  s.cs_src <- Some src;
-                  src.Ispn_traffic.Source.start ()
-                end
-              end);
-      ignore
-        (Engine.schedule_after engine ~delay:holding (fun () ->
-             match s.cs_st with
-             | `Pending -> s.cs_wants_out <- true
-             | `Active -> depart s flow
-             | `Gone -> ()));
+        ~sink:Packet.free ~on_result:(on_result s);
+      ignore (Engine.schedule_after engine ~delay:holding (holding_over s));
       let gap = Dist.exponential prng ~mean:(1. /. lambda) in
-      if Engine.now engine +. gap < duration then
+      if (Engine.clock engine).v +. gap < duration then
         ignore (Engine.schedule_after engine ~delay:gap arrival)
     in
     ignore

@@ -28,31 +28,52 @@ let level_of = function
   | Spec.Predicted _ -> Predicted
   | Spec.Datagram -> Datagram
 
-(* A setup in flight.  [granted] records, per completed hop, the link index
-   and the class granted there (None = guaranteed), newest first — exactly
-   what a rollback must undo.  [attempts] counts retransmissions of the
-   message currently on the wire (reset when a hop answers).  A setup has
-   at most one message on the wire: [token] and [hop] name it, [timeout_h]
-   is its retransmission timer and [on_timeout] that timer's action, built
-   on the first send and re-armed for every later one. *)
-type setup_ctx = {
+(* What a session's timer does when it fires. *)
+type phase =
+  | Reserving  (* retransmit the setup message on the wire, or give up *)
+  | Confirming  (* the confirmation is back: install and report *)
+  | Refusing  (* the refusal is back: report [error] *)
+  | Established  (* run a refresh epoch and re-arm *)
+
+(* One session, from its setup request to its teardown.  While it is
+   being set up, [granted] records, per completed hop, the link index and
+   the class granted there (None = guaranteed), newest first — exactly
+   what a rollback must undo — and [attempts] counts retransmissions of
+   the setup message on the wire (reset when a hop answers), which
+   [token] and [hop] name.
+
+   Once established, the session is the flow's record: everything a
+   post-crash re-setup needs (the path, the original request and the rung
+   of the degradation ladder in force, [current]) and the soft-state
+   machinery.  [token] then names the refresh leg on the wire (-1 =
+   none), which a teardown must invalidate so a delayed refresh cannot
+   resurrect state for a dead flow.
+
+   Every timed step — retransmission, the confirmation or refusal after
+   the reverse trip, each refresh epoch — runs through the one [timer]
+   action, built at setup and dispatched on [phase].  At most one of them
+   is pending at a time; [timer_h] names it when it may be cancelled. *)
+type session = {
   ctx_flow : int;
   ingress : int;
   egress : int;
   spec : Spec.request;
   local : Spec.request;  (* [spec] as each hop's controller sees it *)
   own_bucket : Spec.bucket option;
-  sink : Packet.t -> unit;
-  on_result : (established, string) result -> unit;
+  mutable sink : Packet.t -> unit;
+  mutable on_result : (established, string) result -> unit;
   started_at : float;
   path : int list;
+  mutable current : Spec.request;
   mutable granted : (int * int option) list;
   mutable bound_acc : float;  (* summed class targets along the path *)
   mutable attempts : int;
+  mutable phase : phase;
+  mutable error : string;  (* what [Refusing] reports *)
   mutable token : int;
   mutable hop : int;
-  mutable timeout_h : Engine.handle;
-  mutable on_timeout : unit -> unit;
+  mutable timer_h : Engine.handle;
+  mutable timer : unit -> unit;
 }
 
 (* A refresh epoch walking the path, stamping each agent's soft state; if
@@ -65,37 +86,16 @@ type refresh_ctx = {
   mutable rf_needs_reassert : bool;
 }
 
-(* An in-band teardown walking the path.  Deliberately fire-and-forget: a
-   lost leg leaves the downstream state to the refresh timeout. *)
-type teardown_ctx = { td_flow : int; td_ingress : int; td_path : int list }
-
 (* Every control packet resolves its token to a typed pending message, so
    a stale or duplicated packet can never be replayed as the wrong message
    kind — a setup retransmission cannot masquerade as a refresh and
-   re-stamp state a rollback just cleared. *)
+   re-stamp state a rollback just cleared.  An in-band teardown walks the
+   departed session's path; it is deliberately fire-and-forget: a lost leg
+   leaves the downstream state to the refresh timeout. *)
 type pending =
-  | P_setup of setup_ctx * int  (* resume the setup at this hop *)
+  | P_setup of session * int  (* resume the setup at this hop *)
   | P_refresh of refresh_ctx * int  (* stamp this hop, forward *)
-  | P_teardown of teardown_ctx * int  (* release this hop, forward *)
-
-(* Established flows keep everything a post-crash re-setup needs: the path,
-   the original request and the rung of the degradation ladder currently in
-   force; plus the soft-state machinery — the periodic refresh timer, its
-   action (built once per flow, re-armed every epoch) and the token of the
-   refresh leg currently on the wire (-1 = none), which a teardown must
-   invalidate so a delayed refresh cannot resurrect state for a dead
-   flow. *)
-type flow_record = {
-  mutable fr_granted : (int * int option) list;
-  fr_ingress : int;
-  fr_path : int list;
-  fr_own_bucket : Spec.bucket option;
-  fr_requested : Spec.request;
-  mutable fr_current : Spec.request;
-  mutable fr_refresh_h : Engine.handle;
-  mutable fr_refresh : unit -> unit;
-  mutable fr_refresh_token : int;
-}
+  | P_teardown of session * int  (* release this hop, forward *)
 
 type t = {
   fab : Fabric.t;
@@ -119,7 +119,7 @@ type t = {
   pending_msgs : (int, pending) Hashtbl.t;  (* token -> message *)
   mutable next_token : int;
   in_flight : (int, unit) Hashtbl.t;  (* flows with a setup travelling *)
-  flows : (int, flow_record) Hashtbl.t;  (* established *)
+  flows : (int, session) Hashtbl.t;  (* established *)
   mutable established_count : int;
   mutable total_established : int;
   mutable refused_count : int;
@@ -200,7 +200,7 @@ let register_audit t audit =
 let service_level t ~flow =
   match Hashtbl.find t.flows flow with
   | exception Not_found -> None
-  | fr -> Some (level_of fr.fr_current)
+  | fr -> Some (level_of fr.current)
 
 let engine t = Fabric.engine t.fab
 
@@ -225,12 +225,12 @@ let new_token t =
 let set_refresh_token t ~flow token =
   match Hashtbl.find t.flows flow with
   | exception Not_found -> ()
-  | fr -> fr.fr_refresh_token <- token
+  | fr -> fr.token <- token
 
 let clear_refresh_token t ~flow token =
   match Hashtbl.find t.flows flow with
   | exception Not_found -> ()
-  | fr -> if fr.fr_refresh_token = token then fr.fr_refresh_token <- -1
+  | fr -> if fr.token = token then fr.token <- -1
 
 (* Unregister a guaranteed [flow] at one link; a datagram or predicted
    flow has nothing to remove there. *)
@@ -281,9 +281,9 @@ let rec process t token =
       ()  (* stale, duplicated or retransmitted-over control packet *)
   | P_setup (ctx, hop) ->
       Hashtbl.remove t.pending_msgs token;
-      if ctx.timeout_h <> Engine.no_handle then begin
-        Engine.cancel (engine t) ctx.timeout_h;
-        ctx.timeout_h <- Engine.no_handle
+      if ctx.timer_h <> Engine.no_handle then begin
+        Engine.cancel (engine t) ctx.timer_h;
+        ctx.timer_h <- Engine.no_handle
       end;
       ctx.attempts <- 0;
       advance t ctx hop
@@ -295,9 +295,9 @@ let rec process t token =
         clear_refresh_token t ~flow:rctx.rf_flow token;
         refresh_hop t rctx hop
       end
-  | P_teardown (tctx, hop) ->
+  | P_teardown (s, hop) ->
       Hashtbl.remove t.pending_msgs token;
-      teardown_hop t tctx hop
+      teardown_hop t s hop
 
 (* Try to reserve at [hop] (an index into ctx.path); on success forward the
    setup message over that hop's link, or confirm if past the last hop. *)
@@ -338,14 +338,13 @@ and forward t ctx hop =
     ~over_link:sent_over token;
   ctx.token <- token;
   ctx.hop <- hop;
-  if ctx.on_timeout == nop then ctx.on_timeout <- (fun () -> on_timeout t ctx);
   (* [2. ** 0.] is exactly 1., so a first send waits exactly
      [setup_timeout]; only retransmissions compute (and box) a delay. *)
   let delay =
     if ctx.attempts = 0 then t.setup_timeout
     else t.setup_timeout *. (2. ** float_of_int ctx.attempts)
   in
-  ctx.timeout_h <- Engine.schedule_after (engine t) ~delay ctx.on_timeout
+  ctx.timer_h <- Engine.schedule_after (engine t) ~delay ctx.timer
 
 (* The message (or the wire under it) was lost: retransmit with exponential
    backoff, invalidating the old token first so a copy that was merely
@@ -354,7 +353,7 @@ and on_timeout t ctx =
   let token = ctx.token and hop = ctx.hop in
   if Hashtbl.mem t.pending_msgs token then begin
     Hashtbl.remove t.pending_msgs token;
-    ctx.timeout_h <- Engine.no_handle;
+    ctx.timer_h <- Engine.no_handle;
     if ctx.attempts >= t.max_retries then begin
       t.abandoned <- t.abandoned + 1;
       fail t ctx ~failed_hop:(hop - 1)
@@ -368,68 +367,84 @@ and on_timeout t ctx =
     end
   end
 
+(* The session's timer: what it does depends on where the session is. *)
+and on_timer t s =
+  match s.phase with
+  | Reserving -> on_timeout t s
+  | Confirming -> establish t s
+  | Refusing ->
+      Hashtbl.remove t.in_flight s.ctx_flow;
+      t.refused_count <- t.refused_count + 1;
+      s.on_result (Error s.error)
+  | Established ->
+      if Hashtbl.mem t.flows s.ctx_flow then begin
+        refresh_now t ~flow:s.ctx_flow;
+        arm_refresh t ~flow:s.ctx_flow
+      end
+
+(* Every hop granted: the confirmation takes the reverse trip. *)
 and confirm t ctx =
-  let hops = List.length ctx.path in
-  let delay = t.reverse_hop_delay *. float_of_int hops in
-  ignore
-    (Engine.schedule_after (engine t) ~delay (fun () ->
-         Hashtbl.remove t.in_flight ctx.ctx_flow;
-         Hashtbl.replace t.flows ctx.ctx_flow
-           {
-             fr_granted = ctx.granted;
-             fr_ingress = ctx.ingress;
-             fr_path = ctx.path;
-             fr_own_bucket = ctx.own_bucket;
-             fr_requested = ctx.spec;
-             fr_current = ctx.spec;
-             fr_refresh_h = Engine.no_handle;
-             fr_refresh = nop;
-             fr_refresh_token = -1;
-           };
-         t.established_count <- t.established_count + 1;
-         t.total_established <- t.total_established + 1;
-         arm_refresh t ~flow:ctx.ctx_flow;
-         Fabric.install_flow t.fab ~flow:ctx.ctx_flow ~ingress:ctx.ingress
-           ~egress:ctx.egress ~sink:ctx.sink;
-         let inject = t.injects.(ctx.ingress) in
-         let emit, cls, bound =
-           match ctx.spec with
-           | Spec.Guaranteed { clock_rate_bps } ->
-               let bound =
-                 match ctx.own_bucket with
-                 | None -> None
-                 | Some bucket ->
-                     Some (Bounds.pg_bound ~bucket ~clock_rate_bps ~hops ())
-               in
-               (inject, None, bound)
-           | Spec.Predicted { bucket; _ } ->
-               let tb =
-                 Ispn_traffic.Token_bucket.create ~rate_bps:bucket.Spec.rate_bps
-                   ~depth_bits:bucket.Spec.depth_bits ()
-               in
-               let policer =
-                 Ispn_traffic.Token_bucket.policer ~engine:(engine t)
-                   ~bucket:tb ~mode:Ispn_traffic.Token_bucket.Drop ~next:inject
-               in
-               let ingress_cls =
-                 match List.rev ctx.granted with
-                 | (_, c) :: _ -> c
-                 | [] -> None
-               in
-               ( Ispn_traffic.Token_bucket.admit_fn policer,
-                 ingress_cls,
-                 Some ctx.bound_acc )
-           | Spec.Datagram -> (inject, None, None)
-         in
-         ctx.on_result
-           (Ok
-              {
-                flow = ctx.ctx_flow;
-                cls;
-                advertised_bound = bound;
-                setup_time = (Engine.clock (engine t)).v -. ctx.started_at;
-                emit;
-              })))
+  let delay = t.reverse_hop_delay *. float_of_int (List.length ctx.path) in
+  ctx.phase <- Confirming;
+  ignore (Engine.schedule_after (engine t) ~delay ctx.timer)
+
+(* The confirmation reached the ingress: the session becomes the flow's
+   record, its data route is installed and the requester learns how to
+   emit. *)
+and establish t s =
+  Hashtbl.remove t.in_flight s.ctx_flow;
+  s.phase <- Established;
+  s.token <- -1;
+  s.timer_h <- Engine.no_handle;
+  Hashtbl.replace t.flows s.ctx_flow s;
+  t.established_count <- t.established_count + 1;
+  t.total_established <- t.total_established + 1;
+  arm_refresh t ~flow:s.ctx_flow;
+  Fabric.install_flow t.fab ~flow:s.ctx_flow ~ingress:s.ingress
+    ~egress:s.egress ~sink:s.sink;
+  let inject = t.injects.(s.ingress) in
+  let emit, cls, bound =
+    match s.spec with
+    | Spec.Guaranteed { clock_rate_bps } ->
+        let bound =
+          match s.own_bucket with
+          | None -> None
+          | Some bucket ->
+              Some
+                (Bounds.pg_bound ~bucket ~clock_rate_bps
+                   ~hops:(List.length s.path) ())
+        in
+        (inject, None, bound)
+    | Spec.Predicted { bucket; _ } ->
+        let tb =
+          Ispn_traffic.Token_bucket.create ~rate_bps:bucket.Spec.rate_bps
+            ~depth_bits:bucket.Spec.depth_bits ()
+        in
+        let policer =
+          Ispn_traffic.Token_bucket.policer ~engine:(engine t) ~bucket:tb
+            ~mode:Ispn_traffic.Token_bucket.Drop ~next:inject
+        in
+        let ingress_cls =
+          match List.rev s.granted with (_, c) :: _ -> c | [] -> None
+        in
+        ( Ispn_traffic.Token_bucket.admit_fn policer,
+          ingress_cls,
+          Some s.bound_acc )
+    | Spec.Datagram -> (inject, None, None)
+  in
+  (* A long-lived flow need not keep the requester's callbacks alive. *)
+  let on_result = s.on_result in
+  s.on_result <- ignore;
+  s.sink <- ignore;
+  on_result
+    (Ok
+       {
+         flow = s.ctx_flow;
+         cls;
+         advertised_bound = bound;
+         setup_time = (Engine.clock (engine t)).v -. s.started_at;
+         emit;
+       })
 
 (* The bytes of [Printf.sprintf "refused at hop %d: %s"], concatenated
    directly: a refusal is common under load, and the format machinery
@@ -445,11 +460,9 @@ and fail t ctx ~failed_hop msg =
   release_granted t ~flow:ctx.ctx_flow ctx.granted;
   ctx.granted <- [];
   let delay = t.reverse_hop_delay *. float_of_int (failed_hop + 1) in
-  ignore
-    (Engine.schedule_after (engine t) ~delay (fun () ->
-         Hashtbl.remove t.in_flight ctx.ctx_flow;
-         t.refused_count <- t.refused_count + 1;
-         ctx.on_result (Error msg)))
+  ctx.error <- msg;
+  ctx.phase <- Refusing;
+  ignore (Engine.schedule_after (engine t) ~delay ctx.timer)
 
 and release_granted t ~flow granted =
   List.iter
@@ -478,16 +491,7 @@ and arm_refresh t ~flow =
   | Some ri -> (
       match Hashtbl.find t.flows flow with
       | exception Not_found -> ()
-      | fr ->
-          if fr.fr_refresh == nop then
-            fr.fr_refresh <-
-              (fun () ->
-                if Hashtbl.mem t.flows flow then begin
-                  refresh_now t ~flow;
-                  arm_refresh t ~flow
-                end);
-          fr.fr_refresh_h <-
-            Engine.schedule_after (engine t) ~delay:ri fr.fr_refresh)
+      | s -> s.timer_h <- Engine.schedule_after (engine t) ~delay:ri s.timer)
 
 and refresh_now t ~flow =
   match Hashtbl.find t.flows flow with
@@ -495,15 +499,15 @@ and refresh_now t ~flow =
   | fr ->
       t.refreshes <- t.refreshes + 1;
       (* Supersede any leg of the previous epoch still on the wire. *)
-      if fr.fr_refresh_token >= 0 then begin
-        Hashtbl.remove t.pending_msgs fr.fr_refresh_token;
-        fr.fr_refresh_token <- -1
+      if fr.token >= 0 then begin
+        Hashtbl.remove t.pending_msgs fr.token;
+        fr.token <- -1
       end;
       let rctx =
         {
           rf_flow = flow;
-          rf_ingress = fr.fr_ingress;
-          rf_path = fr.fr_path;
+          rf_ingress = fr.ingress;
+          rf_path = fr.path;
           rf_started = Engine.now (engine t);
           rf_needs_reassert = false;
         }
@@ -533,14 +537,14 @@ and refresh_hop t rctx hop =
   else if rctx.rf_needs_reassert then
     resetup t ~flow:rctx.rf_flow ~crashed_at:rctx.rf_started
 
-and teardown_hop t tctx hop =
-  let link = List.nth tctx.td_path hop in
-  wipe_hop t ~link ~flow:tctx.td_flow;
-  if hop + 1 < List.length tctx.td_path then begin
+and teardown_hop t s hop =
+  let link = List.nth s.path hop in
+  wipe_hop t ~link ~flow:s.ctx_flow;
+  if hop + 1 < List.length s.path then begin
     let token = new_token t in
-    Hashtbl.replace t.pending_msgs token (P_teardown (tctx, hop + 1));
+    Hashtbl.replace t.pending_msgs token (P_teardown (s, hop + 1));
     t.teardown_packets <- t.teardown_packets + 1;
-    send_ctrl t ~at_switch:(tctx.td_ingress + hop) ~over_link:link token;
+    send_ctrl t ~at_switch:(s.ingress + hop) ~over_link:link token;
     let reap =
       if soft_state_on t then t.lifetime else 20. *. t.setup_timeout
     in
@@ -556,7 +560,7 @@ and teardown_hop t tctx hop =
    safe whatever mix of surviving and freshly re-acquired state the flow
    has when a re-assertion pass fails halfway. *)
 and release_everywhere t ~flow fr =
-  List.iter (fun link -> wipe_hop t ~link ~flow) fr.fr_path
+  List.iter (fun link -> wipe_hop t ~link ~flow) fr.path
 
 and note_reestablished t ~crashed_at =
   t.reestablished <- t.reestablished + 1;
@@ -570,13 +574,13 @@ and note_reestablished t ~crashed_at =
    datagram, Section 2's adaptive client accepting a looser commitment) and
    the pass restarts with the weaker spec. *)
 and reassert t ~flow ~crashed_at fr spec =
-  let hops = List.length fr.fr_path in
+  let hops = List.length fr.path in
   match spec with
   | Spec.Datagram ->
       (* Bottom rung: datagram needs no per-hop state, it always succeeds. *)
       release_everywhere t ~flow fr;
-      fr.fr_granted <- [];
-      fr.fr_current <- Spec.Datagram;
+      fr.granted <- [];
+      fr.current <- Spec.Datagram;
       note_reestablished t ~crashed_at
   | _ -> (
       let local = local_of spec ~hops in
@@ -588,7 +592,7 @@ and reassert t ~flow ~crashed_at fr spec =
             if Controller.mem ctrl ~flow then begin
               stamp t ~link ~flow;
               let prev =
-                Option.value ~default:None (List.assoc_opt link fr.fr_granted)
+                Option.value ~default:None (List.assoc_opt link fr.granted)
               in
               go rest ((link, prev) :: acc)
             end
@@ -607,15 +611,15 @@ and reassert t ~flow ~crashed_at fr spec =
                   stamp t ~link ~flow;
                   go rest ((link, cls) :: acc))
       in
-      match go fr.fr_path [] with
+      match go fr.path [] with
       | Some granted ->
-          fr.fr_granted <- granted;
-          fr.fr_current <- spec;
+          fr.granted <- granted;
+          fr.current <- spec;
           note_reestablished t ~crashed_at
       | None ->
           t.degraded <- t.degraded + 1;
           release_everywhere t ~flow fr;
-          fr.fr_granted <- [];
+          fr.granted <- [];
           reassert t ~flow ~crashed_at fr (degrade t fr spec ~hops))
 
 and degrade t fr spec ~hops =
@@ -625,7 +629,7 @@ and degrade t fr spec ~hops =
          flow's declared bucket if it gave one, else a bucket at the old
          clock rate; the delay target is the loosest class end to end. *)
       let bucket =
-        match fr.fr_own_bucket with
+        match fr.own_bucket with
         | Some b -> b
         | None ->
             {
@@ -645,7 +649,7 @@ and degrade t fr spec ~hops =
 and resetup t ~flow ~crashed_at =
   match Hashtbl.find t.flows flow with
   | exception Not_found -> ()  (* torn down while the refresh was in flight *)
-  | fr -> reassert t ~flow ~crashed_at fr fr.fr_current
+  | fr -> reassert t ~flow ~crashed_at fr fr.current
 
 (* The agent at [link] expires one un-refreshed reservation: releases the
    admission record and scheduler registration, and — when the flow is
@@ -659,7 +663,7 @@ let expire t ~link ~flow =
   match Hashtbl.find t.flows flow with
   | exception Not_found -> ()
   | fr ->
-      fr.fr_granted <- List.filter (fun (l, _) -> l <> link) fr.fr_granted
+      fr.granted <- List.filter (fun (l, _) -> l <> link) fr.granted
 
 let deploy ~fabric:fab ?(class_targets = [| 0.008; 0.064 |])
     ?(epoch_interval = 1.0) ?(reverse_hop_delay = 1e-3)
@@ -819,28 +823,32 @@ let setup t ~flow ~ingress ~egress ?own_bucket spec ~sink ~on_result =
           on_result;
           started_at = Engine.now (engine t);
           path;
+          current = spec;
           granted = [];
           bound_acc = 0.;
           attempts = 0;
+          phase = Reserving;
+          error = "";
           token = -1;
           hop = 0;
-          timeout_h = Engine.no_handle;
-          on_timeout = nop;
+          timer_h = Engine.no_handle;
+          timer = nop;
         }
       in
+      ctx.timer <- (fun () -> on_timer t ctx);
       (* The ingress agent processes hop 0 locally, with no wire delay. *)
       advance t ctx 0
 
 (* Cancel the refresh pump and invalidate any refresh leg on the wire, so
    a delayed refresh cannot re-assert state for a flow being removed. *)
 let cancel_refresh t fr =
-  if fr.fr_refresh_h <> Engine.no_handle then begin
-    Engine.cancel (engine t) fr.fr_refresh_h;
-    fr.fr_refresh_h <- Engine.no_handle
+  if fr.timer_h <> Engine.no_handle then begin
+    Engine.cancel (engine t) fr.timer_h;
+    fr.timer_h <- Engine.no_handle
   end;
-  if fr.fr_refresh_token >= 0 then begin
-    Hashtbl.remove t.pending_msgs fr.fr_refresh_token;
-    fr.fr_refresh_token <- -1
+  if fr.token >= 0 then begin
+    Hashtbl.remove t.pending_msgs fr.token;
+    fr.token <- -1
   end
 
 let remove_record t ~flow fr =
@@ -854,7 +862,7 @@ let teardown t ~flow =
   | exception Not_found -> ()
   | fr ->
       remove_record t ~flow fr;
-      release_granted t ~flow fr.fr_granted
+      release_granted t ~flow fr.granted
 
 let depart t ~flow =
   match Hashtbl.find t.flows flow with
@@ -865,9 +873,7 @@ let depart t ~flow =
          by in-band teardown message, each hop releasing and forwarding.
          A lost leg strands the downstream state — which is exactly what
          the refresh timeout exists to reclaim. *)
-      teardown_hop t
-        { td_flow = flow; td_ingress = fr.fr_ingress; td_path = fr.fr_path }
-        0
+      teardown_hop t fr 0
 
 let crash_agent t ~switch =
   let n_links = Array.length t.ctrls in
@@ -891,8 +897,8 @@ let crash_agent t ~switch =
             match cls with
             | Some _ -> Csz_sched.clear_predicted sched ~flow
             | None -> remove_guaranteed sched ~flow)
-        fr.fr_granted;
-      if List.mem link fr.fr_path && fr.fr_current <> Spec.Datagram then
+        fr.granted;
+      if List.mem link fr.path && fr.current <> Spec.Datagram then
         affected := flow :: !affected)
     t.flows;
   Controller.reset t.ctrls.(link);
@@ -905,7 +911,7 @@ let crash_agent t ~switch =
     (fun flow ->
       let fr = Hashtbl.find t.flows flow in
       let delay =
-        t.reverse_hop_delay *. float_of_int (List.length fr.fr_path)
+        t.reverse_hop_delay *. float_of_int (List.length fr.path)
       in
       ignore
         (Engine.schedule_after (engine t) ~delay (fun () ->

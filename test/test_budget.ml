@@ -379,6 +379,57 @@ let test_csz_idle_cycle_budget () =
        standing-queue cycle)"
       idle standing
 
+(* One signaling session's whole life on one link, the micro bench's
+   [signaling/setup] loop: setup (admission, scheduler registration, the
+   confirmation after the reverse trip), then teardown and the flow id's
+   return to the pool.  Engine time is included. *)
+let session_words spec =
+  let e = Engine.create () in
+  let fab = Csz.Fabric.chain ~engine:e ~n_switches:2 () in
+  let sg = Csz.Signaling.deploy ~fabric:fab () in
+  let pool = Ispn_util.Idpool.create () in
+  let horizon = ref 0. in
+  let on_result = function
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "session refused: %s" e
+  in
+  per_n
+    (fun () ->
+      let flow = Ispn_util.Idpool.take pool in
+      Csz.Signaling.setup sg ~flow ~ingress:0 ~egress:1 spec
+        ~sink:Packet.free ~on_result;
+      horizon := !horizon +. 0.01;
+      Engine.run e ~until:!horizon;
+      Csz.Signaling.teardown sg ~flow;
+      Ispn_util.Idpool.release pool ~id:flow)
+    2_000
+
+let test_signaling_session_budget () =
+  let module Spec = Ispn_admission.Spec in
+  List.iter
+    (fun (name, spec, ceiling) ->
+      let per = session_words spec in
+      Printf.printf "%s session: %.1f words\n" name per;
+      if per > ceiling then
+        Alcotest.failf
+          "signaling %s session open+close: %.1f minor words (expected <= \
+           %.0f)"
+          name per ceiling)
+    [
+      ("datagram", Spec.Datagram, 1000.);
+      ( "guaranteed",
+        Spec.Guaranteed { clock_rate_bps = 10_000. },
+        1000. );
+      ( "predicted",
+        Spec.Predicted
+          {
+            bucket = { Spec.rate_bps = 10_000.; depth_bits = 10_000. };
+            target_delay = 0.256;
+            target_loss = 0.01;
+          },
+        1000. );
+    ]
+
 let suite =
   [
     Alcotest.test_case "engine drain allocates nothing" `Quick
@@ -407,4 +458,6 @@ let suite =
       test_series_dequeue_tap_budget;
     Alcotest.test_case "csz busy-period cycle within budget" `Quick
       test_csz_idle_cycle_budget;
+    Alcotest.test_case "signaling session open+close within budget" `Quick
+      test_signaling_session_budget;
   ]
