@@ -6,11 +6,11 @@ type link_state = {
   unmeasured : (int, float * int) Hashtbl.t;
 }
 
-type flow_record = {
-  request : Spec.request;
-  path : int list;
-  cls : int option;
-}
+type flow_record = { request : Spec.request; path : int list }
+
+(* A datagram flow reserves nothing on its path, so every one shares this
+   record: releasing it touches no link. *)
+let datagram_flow = { request = Spec.Datagram; path = [] }
 
 (* An all-float record, so summing into it stores unboxed floats. *)
 type sum = { mutable total : float }
@@ -168,7 +168,7 @@ let request t ~flow ~path request =
     invalid_arg (Printf.sprintf "Controller.request: flow %d already admitted" flow);
   match request with
   | Spec.Datagram ->
-      Hashtbl.replace t.flows flow { request; path; cls = None };
+      Hashtbl.replace t.flows flow datagram_flow;
       t.admissions <- t.admissions + 1;
       admitted_none
   | Spec.Guaranteed { clock_rate_bps = r } ->
@@ -177,7 +177,7 @@ let request t ~flow ~path request =
         reject t ~flow "guaranteed: insufficient capacity on path"
       else begin
         reserve t path ~flow ~rate:r ~guaranteed:true;
-        Hashtbl.replace t.flows flow { request; path; cls = None };
+        Hashtbl.replace t.flows flow { request; path };
         t.admissions <- t.admissions + 1;
         if log_enabled () then
           Logs.info ~src:Ispn_util.Log.admission (fun m ->
@@ -193,7 +193,7 @@ let request t ~flow ~path request =
         let r = bucket.Spec.rate_bps and b = bucket.Spec.depth_bits in
         if path_ok t path ~rate:r ~depth:b ~cls then begin
           reserve t path ~flow ~rate:r ~guaranteed:false;
-          Hashtbl.replace t.flows flow { request; path; cls = Some cls };
+          Hashtbl.replace t.flows flow { request; path };
           t.admissions <- t.admissions + 1;
           if log_enabled () then
             Logs.info ~src:Ispn_util.Log.admission (fun m ->

@@ -97,8 +97,25 @@ type pending =
   | P_refresh of refresh_ctx * int  (* stamp this hop, forward *)
   | P_teardown of session * int  (* release this hop, forward *)
 
+(* Fills the token table's vacant slots. *)
+let no_pending =
+  P_refresh
+    ( {
+        rf_flow = -1;
+        rf_ingress = -1;
+        rf_path = [];
+        rf_started = 0.;
+        rf_needs_reassert = false;
+      },
+      -1 )
+
 type t = {
   fab : Fabric.t;
+  clock : Engine.clock;
+  (* The clock boxed, once per instant: one event's soft-state stamps,
+     packet timestamps and start times share the box that each
+     [Engine.now] would allocate anew. *)
+  mutable now_box : float;
   class_targets : float array;
   reverse_hop_delay : float;
   setup_timeout : float;
@@ -116,7 +133,7 @@ type t = {
   (* Per agent: flow -> time its reservation was last asserted here.  Only
      populated when soft state is on; the sweep expires stale entries. *)
   soft : (int, float) Hashtbl.t array;
-  pending_msgs : (int, pending) Hashtbl.t;  (* token -> message *)
+  pending_msgs : pending Ispn_util.Seqmap.t;  (* token -> message *)
   mutable next_token : int;
   in_flight : (int, unit) Hashtbl.t;  (* flows with a setup travelling *)
   flows : (int, session) Hashtbl.t;  (* established *)
@@ -206,11 +223,16 @@ let engine t = Fabric.engine t.fab
 
 let soft_state_on t = t.refresh_interval <> None
 
+let now t =
+  let c = t.clock.Engine.v in
+  if c <> t.now_box then t.now_box <- c;
+  t.now_box
+
 (* The agent at [link] (re-)asserts [flow]'s reservation in its soft-state
    book; the sweep tears it down [lifetime] later unless re-stamped. *)
 let stamp t ~link ~flow =
   if soft_state_on t then
-    Hashtbl.replace t.soft.(link) flow (Engine.now (engine t))
+    Hashtbl.replace t.soft.(link) flow (now t)
 
 let unstamp t ~link ~flow =
   if soft_state_on t then Hashtbl.remove t.soft.(link) flow
@@ -256,7 +278,7 @@ let send_ctrl t ~at_switch ~over_link token =
     Packet.alloc
       ~flow:(ctrl_flow_base + over_link)
       ~seq:token ~size_bits:control_packet_bits ~kind:Packet.Data
-      ~created:(Engine.now (engine t))
+      ~created:(now t)
   in
   Fabric.inject t.fab ~at_switch pkt
 
@@ -276,11 +298,11 @@ let local_of spec ~hops =
 
 (* Forward declaration dance: agents need [process] which needs [t]. *)
 let rec process t token =
-  match Hashtbl.find t.pending_msgs token with
+  match Ispn_util.Seqmap.find t.pending_msgs token with
   | exception Not_found ->
       ()  (* stale, duplicated or retransmitted-over control packet *)
   | P_setup (ctx, hop) ->
-      Hashtbl.remove t.pending_msgs token;
+      Ispn_util.Seqmap.remove t.pending_msgs token;
       if ctx.timer_h <> Engine.no_handle then begin
         Engine.cancel (engine t) ctx.timer_h;
         ctx.timer_h <- Engine.no_handle
@@ -288,7 +310,7 @@ let rec process t token =
       ctx.attempts <- 0;
       advance t ctx hop
   | P_refresh (rctx, hop) ->
-      Hashtbl.remove t.pending_msgs token;
+      Ispn_util.Seqmap.remove t.pending_msgs token;
       (* Only a still-established flow may be refreshed: a teardown racing
          this packet has already invalidated the token, but be safe. *)
       if Hashtbl.mem t.flows rctx.rf_flow then begin
@@ -296,7 +318,7 @@ let rec process t token =
         refresh_hop t rctx hop
       end
   | P_teardown (s, hop) ->
-      Hashtbl.remove t.pending_msgs token;
+      Ispn_util.Seqmap.remove t.pending_msgs token;
       teardown_hop t s hop
 
 (* Try to reserve at [hop] (an index into ctx.path); on success forward the
@@ -332,7 +354,7 @@ and forward t ctx hop =
     | [] -> assert false
   in
   let token = new_token t in
-  Hashtbl.replace t.pending_msgs token (P_setup (ctx, hop));
+  Ispn_util.Seqmap.replace t.pending_msgs token (P_setup (ctx, hop));
   send_ctrl t
     ~at_switch:(ctx.ingress + List.length ctx.granted - 1)
     ~over_link:sent_over token;
@@ -351,8 +373,8 @@ and forward t ctx hop =
    delayed cannot double-reserve when it finally lands. *)
 and on_timeout t ctx =
   let token = ctx.token and hop = ctx.hop in
-  if Hashtbl.mem t.pending_msgs token then begin
-    Hashtbl.remove t.pending_msgs token;
+  if Ispn_util.Seqmap.mem t.pending_msgs token then begin
+    Ispn_util.Seqmap.remove t.pending_msgs token;
     ctx.timer_h <- Engine.no_handle;
     if ctx.attempts >= t.max_retries then begin
       t.abandoned <- t.abandoned + 1;
@@ -442,7 +464,7 @@ and establish t s =
          flow = s.ctx_flow;
          cls;
          advertised_bound = bound;
-         setup_time = (Engine.clock (engine t)).v -. s.started_at;
+         setup_time = t.clock.Engine.v -. s.started_at;
          emit;
        })
 
@@ -500,7 +522,7 @@ and refresh_now t ~flow =
       t.refreshes <- t.refreshes + 1;
       (* Supersede any leg of the previous epoch still on the wire. *)
       if fr.token >= 0 then begin
-        Hashtbl.remove t.pending_msgs fr.token;
+        Ispn_util.Seqmap.remove t.pending_msgs fr.token;
         fr.token <- -1
       end;
       let rctx =
@@ -508,7 +530,7 @@ and refresh_now t ~flow =
           rf_flow = flow;
           rf_ingress = fr.ingress;
           rf_path = fr.path;
-          rf_started = Engine.now (engine t);
+          rf_started = now t;
           rf_needs_reassert = false;
         }
       in
@@ -521,7 +543,7 @@ and refresh_hop t rctx hop =
    else rctx.rf_needs_reassert <- true);
   if hop + 1 < List.length rctx.rf_path then begin
     let token = new_token t in
-    Hashtbl.replace t.pending_msgs token (P_refresh (rctx, hop + 1));
+    Ispn_util.Seqmap.replace t.pending_msgs token (P_refresh (rctx, hop + 1));
     set_refresh_token t ~flow:rctx.rf_flow token;
     t.refresh_packets <- t.refresh_packets + 1;
     send_ctrl t ~at_switch:(rctx.rf_ingress + hop) ~over_link:link token;
@@ -529,8 +551,8 @@ and refresh_hop t rctx hop =
        bounded under churn; by then the next epoch has superseded it. *)
     ignore
       (Engine.schedule_after (engine t) ~delay:t.lifetime (fun () ->
-           if Hashtbl.mem t.pending_msgs token then begin
-             Hashtbl.remove t.pending_msgs token;
+           if Ispn_util.Seqmap.mem t.pending_msgs token then begin
+             Ispn_util.Seqmap.remove t.pending_msgs token;
              clear_refresh_token t ~flow:rctx.rf_flow token
            end))
   end
@@ -542,7 +564,7 @@ and teardown_hop t s hop =
   wipe_hop t ~link ~flow:s.ctx_flow;
   if hop + 1 < List.length s.path then begin
     let token = new_token t in
-    Hashtbl.replace t.pending_msgs token (P_teardown (s, hop + 1));
+    Ispn_util.Seqmap.replace t.pending_msgs token (P_teardown (s, hop + 1));
     t.teardown_packets <- t.teardown_packets + 1;
     send_ctrl t ~at_switch:(s.ingress + hop) ~over_link:link token;
     let reap =
@@ -550,7 +572,7 @@ and teardown_hop t s hop =
     in
     ignore
       (Engine.schedule_after (engine t) ~delay:reap (fun () ->
-           Hashtbl.remove t.pending_msgs token))
+           Ispn_util.Seqmap.remove t.pending_msgs token))
   end
 
 (* {2 Crash recovery} *)
@@ -707,6 +729,8 @@ let deploy ~fabric:fab ?(class_targets = [| 0.008; 0.064 |])
   let t =
     {
       fab;
+      clock = Engine.clock (Fabric.engine fab);
+      now_box = 0.;
       class_targets;
       reverse_hop_delay;
       setup_timeout;
@@ -722,7 +746,7 @@ let deploy ~fabric:fab ?(class_targets = [| 0.008; 0.064 |])
         Array.init n_switches (fun at_switch pkt ->
             Fabric.inject fab ~at_switch pkt);
       soft = Array.init n_links (fun _ -> Hashtbl.create 16);
-      pending_msgs = Hashtbl.create 64;
+      pending_msgs = Ispn_util.Seqmap.create ~dummy:no_pending ();
       next_token = 0;
       in_flight = Hashtbl.create 16;
       flows = Hashtbl.create 32;
@@ -821,7 +845,7 @@ let setup t ~flow ~ingress ~egress ?own_bucket spec ~sink ~on_result =
           own_bucket;
           sink;
           on_result;
-          started_at = Engine.now (engine t);
+          started_at = now t;
           path;
           current = spec;
           granted = [];
@@ -847,7 +871,7 @@ let cancel_refresh t fr =
     fr.timer_h <- Engine.no_handle
   end;
   if fr.token >= 0 then begin
-    Hashtbl.remove t.pending_msgs fr.token;
+    Ispn_util.Seqmap.remove t.pending_msgs fr.token;
     fr.token <- -1
   end
 

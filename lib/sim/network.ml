@@ -92,6 +92,7 @@ type t = {
   engine : Engine.t;
   switches : Node.t array;
   links : Link.t array;
+  forwards : Node.port array;  (* [Node.Forward] of each link, built once *)
   routes : Routes.t;
 }
 
@@ -118,7 +119,13 @@ let graph ~engine ~n_switches ~links ~rate_bps ?(prop_delay = 0.) ?recorder
         link)
       ends
   in
-  { engine; switches; links; routes }
+  {
+    engine;
+    switches;
+    links;
+    forwards = Array.map (fun l -> Node.Forward l) links;
+    routes;
+  }
 
 let chain ~engine ~n_switches ~rate_bps ?prop_delay ?recorder ~qdisc_of () =
   graph ~engine ~n_switches
@@ -133,7 +140,8 @@ let link t i = t.links.(i)
 let path t ~ingress ~egress = Routes.path t.routes ~ingress ~egress
 
 (* Walks the tree back from [egress] rather than building the path list,
-   so installing a flow allocates only its route entries. *)
+   and shares each link's port, so installing a flow allocates only its
+   route entries. *)
 let install_flow t ~flow ~ingress ~egress ~sink =
   Routes.check t.routes ~ingress ~egress;
   if ingress <> egress then begin
@@ -146,7 +154,7 @@ let install_flow t ~flow ~ingress ~egress ~sink =
     while !v <> ingress do
       let l = via.(!v) in
       v := t.routes.Routes.src.(l);
-      Node.add_route t.switches.(!v) ~flow (Node.Forward t.links.(l))
+      Node.add_route t.switches.(!v) ~flow t.forwards.(l)
     done
   end;
   Node.add_route t.switches.(egress) ~flow (Node.Deliver sink)
