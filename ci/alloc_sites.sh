@@ -1,20 +1,23 @@
 #!/usr/bin/env bash
 # Inventory of the inline minor-heap allocations compiled into the
-# packet-path modules.  ocamlopt on x86-64 allocates by bumping the young
-# pointer, so every inline allocation is one `sub $N,%r15` instruction;
-# this lists, per function, how many such sites it has and their total
-# size in words (header included, as Gc.minor_words counts them).  A site
-# is not a per-packet cost unless its function runs per packet: read it
-# together with the Gc.minor_words budgets in test/test_budget.ml.
-# Allocations made inside C primitives (caml_alloc*, Hashtbl, Printf) do
-# not appear.  Informational only; exits 0 whatever it finds.
+# packet-path and control-plane modules.  ocamlopt on x86-64 allocates by
+# bumping the young pointer, so every inline allocation is one
+# `sub $N,%r15` instruction; this lists, per function, how many such
+# sites it has and their total size in words (header included, as
+# Gc.minor_words counts them).  A site is not a per-packet (or per-hop,
+# per-session) cost unless its function runs that often, and a site on a
+# failure branch costs nothing until it fails: read it together with the
+# Gc.minor_words budgets in test/test_budget.ml.  Allocations made inside
+# C primitives (caml_alloc*, Hashtbl, Printf) do not appear.
+# Informational only; exits 0 whatever it finds.
 #
 #   dune build && bash ci/alloc_sites.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 modules="sim:Engine sim:Link sim:Node sim:Probe sim:Packet core:Csz_sched
 util:Kheap util:Ring util:Wheel traffic:Onoff traffic:Token_bucket
-transport:Tcp util:Stats"
+transport:Tcp util:Stats core:Signaling admission:Controller admission:Meter
+check:Audit util:Seqmap"
 for entry in $modules; do
   dir=${entry%%:*}
   m=${entry#*:}

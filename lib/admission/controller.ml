@@ -151,6 +151,8 @@ let choose_class t ~target_delay ~hops =
   in
   best (Array.length t.class_targets - 1)
 
+(* Guards each log line: with logging off a decision allocates neither
+   [Logs.info]'s [Some src] nor its message closure. *)
 let log_enabled () = Ispn_util.Log.enabled Ispn_util.Log.admission Logs.Info
 
 let reject t ~flow reason =

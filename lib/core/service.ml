@@ -82,6 +82,10 @@ let fabric t = t.fabric
 let controller t = t.ctrl
 let sched t ~link = Fabric.sched t.fabric ~link
 
+(* Guards each log line, so a request or teardown with logging off
+   allocates neither [Logs.info]'s [Some src] nor its message closure. *)
+let log_enabled () = Ispn_util.Log.enabled Ispn_util.Log.service Logs.Info
+
 type established = {
   flow : int;
   advertised_bound : float option;
@@ -144,20 +148,23 @@ let request t ~flow ~ingress ~egress ?own_bucket spec ~sink =
                 ({ path; guaranteed = false; cls = None }, None, inject)
           in
           Hashtbl.replace t.flows flow entry;
-          Logs.info ~src:Ispn_util.Log.service (fun m ->
-              m "flow %d established over links [%s]%s" flow
-                (String.concat ";" (List.map string_of_int path))
-                (match bound with
-                | Some b -> Printf.sprintf " bound=%.3fs" b
-                | None -> ""));
+          if log_enabled () then
+            Logs.info ~src:Ispn_util.Log.service (fun m ->
+                m "flow %d established over links [%s]%s" flow
+                  (String.concat ";" (List.map string_of_int path))
+                  (match bound with
+                  | Some b -> Printf.sprintf " bound=%.3fs" b
+                  | None -> ""));
           Ok { flow; advertised_bound = bound; cls = entry.cls; emit })
 
 let teardown t ~flow =
-  match Hashtbl.find_opt t.flows flow with
-  | None -> ()
-  | Some entry ->
+  match Hashtbl.find t.flows flow with
+  | exception Not_found -> ()
+  | entry ->
       Hashtbl.remove t.flows flow;
-      Logs.info ~src:Ispn_util.Log.service (fun m -> m "flow %d torn down" flow);
+      if log_enabled () then
+        Logs.info ~src:Ispn_util.Log.service (fun m ->
+            m "flow %d torn down" flow);
       Controller.release t.ctrl ~flow;
       List.iter
         (fun i ->

@@ -192,6 +192,62 @@ let test_fmt_float () =
   Alcotest.(check string) "custom" "3.1416"
     (Table.fmt_float ~decimals:4 3.14159)
 
+(* Seqmap against a Hashtbl model: keys issued in increasing order, each
+   op list entry either issues the next key or removes a live one (by
+   index), with a tiny initial capacity so long-lived keys force growth. *)
+let qcheck_seqmap_model =
+  QCheck.Test.make ~name:"seqmap agrees with a Hashtbl" ~count:300
+    QCheck.(list (pair bool small_nat))
+    (fun ops ->
+      let m = Seqmap.create ~capacity:2 ~dummy:(-1) () in
+      let h = Hashtbl.create 8 in
+      let next = ref 0 in
+      List.iter
+        (fun (issue, i) ->
+          if issue || Hashtbl.length h = 0 then begin
+            Seqmap.replace m !next (10 * !next);
+            Hashtbl.replace h !next (10 * !next);
+            incr next
+          end
+          else begin
+            let live = List.sort compare (Hashtbl.fold (fun k _ l -> k :: l) h []) in
+            let k = List.nth live (i mod List.length live) in
+            Seqmap.remove m k;
+            Hashtbl.remove h k
+          end)
+        ops;
+      Seqmap.length m = Hashtbl.length h
+      && List.for_all
+           (fun k ->
+             Seqmap.mem m k = Hashtbl.mem h k
+             &&
+             match Hashtbl.find_opt h k with
+             | Some v -> Seqmap.find m k = v
+             | None -> (
+                 match Seqmap.find m k with
+                 | _ -> false
+                 | exception Not_found -> true))
+           (List.init (!next + 2) Fun.id))
+
+let test_seqmap_edges () =
+  let m = Seqmap.create ~dummy:"" () in
+  Seqmap.replace m 5 "a";
+  Seqmap.replace m 5 "b";
+  Alcotest.(check int) "rebinding keeps one" 1 (Seqmap.length m);
+  Alcotest.(check string) "rebound" "b" (Seqmap.find m 5);
+  Seqmap.remove m 6;
+  Seqmap.remove m (-3);
+  Alcotest.(check bool) "negative key unbound" false (Seqmap.mem m (-3));
+  Alcotest.check_raises "negative key" (Invalid_argument "Seqmap.replace: negative key")
+    (fun () -> Seqmap.replace m (-1) "x");
+  (* A key 64 issues older than the newest shares its slot at capacity 64:
+     the table grows instead of evicting it. *)
+  Seqmap.replace m 69 "c";
+  Alcotest.(check string) "old key kept" "b" (Seqmap.find m 5);
+  Alcotest.(check string) "new key bound" "c" (Seqmap.find m 69);
+  Seqmap.remove m 5;
+  Alcotest.check_raises "removed" Not_found (fun () -> ignore (Seqmap.find m 5))
+
 let suite =
   [
     Alcotest.test_case "ewma first observation" `Quick
@@ -218,4 +274,7 @@ let suite =
     Alcotest.test_case "table pads short rows" `Quick
       test_table_pads_short_rows;
     Alcotest.test_case "fmt_float" `Quick test_fmt_float;
+    QCheck_alcotest.to_alcotest qcheck_seqmap_model;
+    Alcotest.test_case "seqmap rebinding, misses and growth" `Quick
+      test_seqmap_edges;
   ]
