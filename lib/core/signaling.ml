@@ -54,7 +54,7 @@ type phase =
    action, built at setup and dispatched on [phase].  At most one of them
    is pending at a time; [timer_h] names it when it may be cancelled. *)
 type session = {
-  ctx_flow : int;
+  flow_id : int;
   ingress : int;
   egress : int;
   spec : Spec.request;
@@ -217,7 +217,7 @@ let register_audit t audit =
 let service_level t ~flow =
   match Hashtbl.find t.flows flow with
   | exception Not_found -> None
-  | fr -> Some (level_of fr.current)
+  | s -> Some (level_of s.current)
 
 let engine t = Fabric.engine t.fab
 
@@ -247,12 +247,12 @@ let new_token t =
 let set_refresh_token t ~flow token =
   match Hashtbl.find t.flows flow with
   | exception Not_found -> ()
-  | fr -> fr.token <- token
+  | s -> s.token <- token
 
 let clear_refresh_token t ~flow token =
   match Hashtbl.find t.flows flow with
   | exception Not_found -> ()
-  | fr -> if fr.token = token then fr.token <- -1
+  | s -> if s.token = token then s.token <- -1
 
 (* Unregister a guaranteed [flow] at one link; a datagram or predicted
    flow has nothing to remove there. *)
@@ -301,14 +301,14 @@ let rec process t token =
   match Ispn_util.Seqmap.find t.pending_msgs token with
   | exception Not_found ->
       ()  (* stale, duplicated or retransmitted-over control packet *)
-  | P_setup (ctx, hop) ->
+  | P_setup (s, hop) ->
       Ispn_util.Seqmap.remove t.pending_msgs token;
-      if ctx.timer_h <> Engine.no_handle then begin
-        Engine.cancel (engine t) ctx.timer_h;
-        ctx.timer_h <- Engine.no_handle
+      if s.timer_h <> Engine.no_handle then begin
+        Engine.cancel (engine t) s.timer_h;
+        s.timer_h <- Engine.no_handle
       end;
-      ctx.attempts <- 0;
-      advance t ctx hop
+      s.attempts <- 0;
+      advance t s hop
   | P_refresh (rctx, hop) ->
       Ispn_util.Seqmap.remove t.pending_msgs token;
       (* Only a still-established flow may be refreshed: a teardown racing
@@ -321,71 +321,71 @@ let rec process t token =
       Ispn_util.Seqmap.remove t.pending_msgs token;
       teardown_hop t s hop
 
-(* Try to reserve at [hop] (an index into ctx.path); on success forward the
+(* Try to reserve at [hop] (an index into s.path); on success forward the
    setup message over that hop's link, or confirm if past the last hop. *)
-and advance t ctx hop =
-  if hop >= List.length ctx.path then confirm t ctx
+and advance t s hop =
+  if hop >= List.length s.path then confirm t s
   else begin
-    let link = List.nth ctx.path hop in
+    let link = List.nth s.path hop in
     let ctrl = t.ctrls.(link) in
-    match Controller.request ctrl ~flow:ctx.ctx_flow ~path:[ 0 ] ctx.local with
-    | Controller.Rejected reason -> refuse t ctx hop reason
+    match Controller.request ctrl ~flow:s.flow_id ~path:[ 0 ] s.local with
+    | Controller.Rejected reason -> refuse t s hop reason
     | Controller.Admitted { cls } ->
         let sched = Fabric.sched t.fab ~link in
-        (match (ctx.spec, cls) with
+        (match (s.spec, cls) with
         | Spec.Guaranteed { clock_rate_bps }, _ ->
-            Csz_sched.add_guaranteed sched ~flow:ctx.ctx_flow ~clock_rate_bps
+            Csz_sched.add_guaranteed sched ~flow:s.flow_id ~clock_rate_bps
         | Spec.Predicted _, Some c ->
-            Csz_sched.set_predicted sched ~flow:ctx.ctx_flow ~cls:c;
-            ctx.bound_acc <- ctx.bound_acc +. t.class_targets.(c)
+            Csz_sched.set_predicted sched ~flow:s.flow_id ~cls:c;
+            s.bound_acc <- s.bound_acc +. t.class_targets.(c)
         | Spec.Predicted _, None | Spec.Datagram, _ -> ());
-        stamp t ~link ~flow:ctx.ctx_flow;
-        ctx.granted <- (link, cls) :: ctx.granted;
-        forward t ctx (hop + 1)
+        stamp t ~link ~flow:s.flow_id;
+        s.granted <- (link, cls) :: s.granted;
+        forward t s (hop + 1)
   end
 
 (* Put the setup message on the wire toward the next agent and arm its
    retransmission timer.  [hop] is the next hop to reserve; the message
-   travels the link just reserved (the last element of ctx.granted). *)
-and forward t ctx hop =
+   travels the link just reserved (the newest entry of [granted]). *)
+and forward t s hop =
   let sent_over =
-    match ctx.granted with
+    match s.granted with
     | (link, _) :: _ -> link
     | [] -> assert false
   in
   let token = new_token t in
-  Ispn_util.Seqmap.replace t.pending_msgs token (P_setup (ctx, hop));
+  Ispn_util.Seqmap.replace t.pending_msgs token (P_setup (s, hop));
   send_ctrl t
-    ~at_switch:(ctx.ingress + List.length ctx.granted - 1)
+    ~at_switch:(s.ingress + List.length s.granted - 1)
     ~over_link:sent_over token;
-  ctx.token <- token;
-  ctx.hop <- hop;
+  s.token <- token;
+  s.hop <- hop;
   (* [2. ** 0.] is exactly 1., so a first send waits exactly
      [setup_timeout]; only retransmissions compute (and box) a delay. *)
   let delay =
-    if ctx.attempts = 0 then t.setup_timeout
-    else t.setup_timeout *. (2. ** float_of_int ctx.attempts)
+    if s.attempts = 0 then t.setup_timeout
+    else t.setup_timeout *. (2. ** float_of_int s.attempts)
   in
-  ctx.timer_h <- Engine.schedule_after (engine t) ~delay ctx.timer
+  s.timer_h <- Engine.schedule_after (engine t) ~delay s.timer
 
 (* The message (or the wire under it) was lost: retransmit with exponential
    backoff, invalidating the old token first so a copy that was merely
    delayed cannot double-reserve when it finally lands. *)
-and on_timeout t ctx =
-  let token = ctx.token and hop = ctx.hop in
+and on_timeout t s =
+  let token = s.token and hop = s.hop in
   if Ispn_util.Seqmap.mem t.pending_msgs token then begin
     Ispn_util.Seqmap.remove t.pending_msgs token;
-    ctx.timer_h <- Engine.no_handle;
-    if ctx.attempts >= t.max_retries then begin
+    s.timer_h <- Engine.no_handle;
+    if s.attempts >= t.max_retries then begin
       t.abandoned <- t.abandoned + 1;
-      fail t ctx ~failed_hop:(hop - 1)
+      fail t s ~failed_hop:(hop - 1)
         (Printf.sprintf "setup timed out at hop %d after %d attempts" hop
-           (ctx.attempts + 1))
+           (s.attempts + 1))
     end
     else begin
-      ctx.attempts <- ctx.attempts + 1;
+      s.attempts <- s.attempts + 1;
       t.retries <- t.retries + 1;
-      forward t ctx hop
+      forward t s hop
     end
   end
 
@@ -395,34 +395,34 @@ and on_timer t s =
   | Reserving -> on_timeout t s
   | Confirming -> establish t s
   | Refusing ->
-      Hashtbl.remove t.in_flight s.ctx_flow;
+      Hashtbl.remove t.in_flight s.flow_id;
       t.refused_count <- t.refused_count + 1;
       s.on_result (Error s.error)
   | Established ->
-      if Hashtbl.mem t.flows s.ctx_flow then begin
-        refresh_now t ~flow:s.ctx_flow;
-        arm_refresh t ~flow:s.ctx_flow
+      if Hashtbl.mem t.flows s.flow_id then begin
+        refresh_now t ~flow:s.flow_id;
+        arm_refresh t ~flow:s.flow_id
       end
 
 (* Every hop granted: the confirmation takes the reverse trip. *)
-and confirm t ctx =
-  let delay = t.reverse_hop_delay *. float_of_int (List.length ctx.path) in
-  ctx.phase <- Confirming;
-  ignore (Engine.schedule_after (engine t) ~delay ctx.timer)
+and confirm t s =
+  let delay = t.reverse_hop_delay *. float_of_int (List.length s.path) in
+  s.phase <- Confirming;
+  ignore (Engine.schedule_after (engine t) ~delay s.timer)
 
 (* The confirmation reached the ingress: the session becomes the flow's
    record, its data route is installed and the requester learns how to
    emit. *)
 and establish t s =
-  Hashtbl.remove t.in_flight s.ctx_flow;
+  Hashtbl.remove t.in_flight s.flow_id;
   s.phase <- Established;
   s.token <- -1;
   s.timer_h <- Engine.no_handle;
-  Hashtbl.replace t.flows s.ctx_flow s;
+  Hashtbl.replace t.flows s.flow_id s;
   t.established_count <- t.established_count + 1;
   t.total_established <- t.total_established + 1;
-  arm_refresh t ~flow:s.ctx_flow;
-  Fabric.install_flow t.fab ~flow:s.ctx_flow ~ingress:s.ingress
+  arm_refresh t ~flow:s.flow_id;
+  Fabric.install_flow t.fab ~flow:s.flow_id ~ingress:s.ingress
     ~egress:s.egress ~sink:s.sink;
   let inject = t.injects.(s.ingress) in
   let emit, cls, bound =
@@ -461,7 +461,7 @@ and establish t s =
   on_result
     (Ok
        {
-         flow = s.ctx_flow;
+         flow = s.flow_id;
          cls;
          advertised_bound = bound;
          setup_time = t.clock.Engine.v -. s.started_at;
@@ -471,20 +471,20 @@ and establish t s =
 (* The bytes of [Printf.sprintf "refused at hop %d: %s"], concatenated
    directly: a refusal is common under load, and the format machinery
    costs several times the message. *)
-and refuse t ctx failed_hop reason =
-  fail t ctx ~failed_hop
+and refuse t s failed_hop reason =
+  fail t s ~failed_hop
     (String.concat ""
        [ "refused at hop "; string_of_int (failed_hop + 1); ": "; reason ])
 
 (* Roll back every reservation made so far, then report after the reverse
    trip. *)
-and fail t ctx ~failed_hop msg =
-  release_granted t ~flow:ctx.ctx_flow ctx.granted;
-  ctx.granted <- [];
+and fail t s ~failed_hop msg =
+  release_granted t ~flow:s.flow_id s.granted;
+  s.granted <- [];
   let delay = t.reverse_hop_delay *. float_of_int (failed_hop + 1) in
-  ctx.error <- msg;
-  ctx.phase <- Refusing;
-  ignore (Engine.schedule_after (engine t) ~delay ctx.timer)
+  s.error <- msg;
+  s.phase <- Refusing;
+  ignore (Engine.schedule_after (engine t) ~delay s.timer)
 
 and release_granted t ~flow granted =
   List.iter
@@ -518,18 +518,18 @@ and arm_refresh t ~flow =
 and refresh_now t ~flow =
   match Hashtbl.find t.flows flow with
   | exception Not_found -> ()
-  | fr ->
+  | s ->
       t.refreshes <- t.refreshes + 1;
       (* Supersede any leg of the previous epoch still on the wire. *)
-      if fr.token >= 0 then begin
-        Ispn_util.Seqmap.remove t.pending_msgs fr.token;
-        fr.token <- -1
+      if s.token >= 0 then begin
+        Ispn_util.Seqmap.remove t.pending_msgs s.token;
+        s.token <- -1
       end;
       let rctx =
         {
           rf_flow = flow;
-          rf_ingress = fr.ingress;
-          rf_path = fr.path;
+          rf_ingress = s.ingress;
+          rf_path = s.path;
           rf_started = now t;
           rf_needs_reassert = false;
         }
@@ -561,7 +561,7 @@ and refresh_hop t rctx hop =
 
 and teardown_hop t s hop =
   let link = List.nth s.path hop in
-  wipe_hop t ~link ~flow:s.ctx_flow;
+  wipe_hop t ~link ~flow:s.flow_id;
   if hop + 1 < List.length s.path then begin
     let token = new_token t in
     Ispn_util.Seqmap.replace t.pending_msgs token (P_teardown (s, hop + 1));
@@ -581,8 +581,8 @@ and teardown_hop t s hop =
    scheduler registrations alike.  Unconditional and idempotent, so it is
    safe whatever mix of surviving and freshly re-acquired state the flow
    has when a re-assertion pass fails halfway. *)
-and release_everywhere t ~flow fr =
-  List.iter (fun link -> wipe_hop t ~link ~flow) fr.path
+and release_everywhere t ~flow s =
+  List.iter (fun link -> wipe_hop t ~link ~flow) s.path
 
 and note_reestablished t ~crashed_at =
   t.reestablished <- t.reestablished + 1;
@@ -595,14 +595,14 @@ and note_reestablished t ~crashed_at =
    one rung down the degradation ladder (guaranteed -> predicted ->
    datagram, Section 2's adaptive client accepting a looser commitment) and
    the pass restarts with the weaker spec. *)
-and reassert t ~flow ~crashed_at fr spec =
-  let hops = List.length fr.path in
+and reassert t ~flow ~crashed_at s spec =
+  let hops = List.length s.path in
   match spec with
   | Spec.Datagram ->
       (* Bottom rung: datagram needs no per-hop state, it always succeeds. *)
-      release_everywhere t ~flow fr;
-      fr.granted <- [];
-      fr.current <- Spec.Datagram;
+      release_everywhere t ~flow s;
+      s.granted <- [];
+      s.current <- Spec.Datagram;
       note_reestablished t ~crashed_at
   | _ -> (
       let local = local_of spec ~hops in
@@ -614,7 +614,7 @@ and reassert t ~flow ~crashed_at fr spec =
             if Controller.mem ctrl ~flow then begin
               stamp t ~link ~flow;
               let prev =
-                Option.value ~default:None (List.assoc_opt link fr.granted)
+                Option.value ~default:None (List.assoc_opt link s.granted)
               in
               go rest ((link, prev) :: acc)
             end
@@ -633,25 +633,25 @@ and reassert t ~flow ~crashed_at fr spec =
                   stamp t ~link ~flow;
                   go rest ((link, cls) :: acc))
       in
-      match go fr.path [] with
+      match go s.path [] with
       | Some granted ->
-          fr.granted <- granted;
-          fr.current <- spec;
+          s.granted <- granted;
+          s.current <- spec;
           note_reestablished t ~crashed_at
       | None ->
           t.degraded <- t.degraded + 1;
-          release_everywhere t ~flow fr;
-          fr.granted <- [];
-          reassert t ~flow ~crashed_at fr (degrade t fr spec ~hops))
+          release_everywhere t ~flow s;
+          s.granted <- [];
+          reassert t ~flow ~crashed_at s (degrade t s spec ~hops))
 
-and degrade t fr spec ~hops =
+and degrade t s spec ~hops =
   match spec with
   | Spec.Guaranteed { clock_rate_bps } ->
       (* Ask for predicted service shaped like the old commitment: the
          flow's declared bucket if it gave one, else a bucket at the old
          clock rate; the delay target is the loosest class end to end. *)
       let bucket =
-        match fr.own_bucket with
+        match s.own_bucket with
         | Some b -> b
         | None ->
             {
@@ -671,7 +671,7 @@ and degrade t fr spec ~hops =
 and resetup t ~flow ~crashed_at =
   match Hashtbl.find t.flows flow with
   | exception Not_found -> ()  (* torn down while the refresh was in flight *)
-  | fr -> reassert t ~flow ~crashed_at fr fr.current
+  | s -> reassert t ~flow ~crashed_at s s.current
 
 (* The agent at [link] expires one un-refreshed reservation: releases the
    admission record and scheduler registration, and — when the flow is
@@ -684,8 +684,8 @@ let expire t ~link ~flow =
   wipe_hop t ~link ~flow;
   match Hashtbl.find t.flows flow with
   | exception Not_found -> ()
-  | fr ->
-      fr.granted <- List.filter (fun (l, _) -> l <> link) fr.granted
+  | s ->
+      s.granted <- List.filter (fun (l, _) -> l <> link) s.granted
 
 let deploy ~fabric:fab ?(class_targets = [| 0.008; 0.064 |])
     ?(epoch_interval = 1.0) ?(reverse_hop_delay = 1e-3)
@@ -835,9 +835,9 @@ let setup t ~flow ~ingress ~egress ?own_bucket spec ~sink ~on_result =
   | None | Some [] -> on_result (Error "no route")
   | Some path ->
       Hashtbl.replace t.in_flight flow ();
-      let ctx =
+      let s =
         {
-          ctx_flow = flow;
+          flow_id = flow;
           ingress;
           egress;
           spec;
@@ -859,24 +859,24 @@ let setup t ~flow ~ingress ~egress ?own_bucket spec ~sink ~on_result =
           timer = nop;
         }
       in
-      ctx.timer <- (fun () -> on_timer t ctx);
+      s.timer <- (fun () -> on_timer t s);
       (* The ingress agent processes hop 0 locally, with no wire delay. *)
-      advance t ctx 0
+      advance t s 0
 
 (* Cancel the refresh pump and invalidate any refresh leg on the wire, so
    a delayed refresh cannot re-assert state for a flow being removed. *)
-let cancel_refresh t fr =
-  if fr.timer_h <> Engine.no_handle then begin
-    Engine.cancel (engine t) fr.timer_h;
-    fr.timer_h <- Engine.no_handle
+let cancel_refresh t s =
+  if s.timer_h <> Engine.no_handle then begin
+    Engine.cancel (engine t) s.timer_h;
+    s.timer_h <- Engine.no_handle
   end;
-  if fr.token >= 0 then begin
-    Ispn_util.Seqmap.remove t.pending_msgs fr.token;
-    fr.token <- -1
+  if s.token >= 0 then begin
+    Ispn_util.Seqmap.remove t.pending_msgs s.token;
+    s.token <- -1
   end
 
-let remove_record t ~flow fr =
-  cancel_refresh t fr;
+let remove_record t ~flow s =
+  cancel_refresh t s;
   Hashtbl.remove t.flows flow;
   t.established_count <- t.established_count - 1;
   t.teardowns <- t.teardowns + 1
@@ -884,20 +884,20 @@ let remove_record t ~flow fr =
 let teardown t ~flow =
   match Hashtbl.find t.flows flow with
   | exception Not_found -> ()
-  | fr ->
-      remove_record t ~flow fr;
-      release_granted t ~flow fr.granted
+  | s ->
+      remove_record t ~flow s;
+      release_granted t ~flow s.granted
 
 let depart t ~flow =
   match Hashtbl.find t.flows flow with
   | exception Not_found -> ()
-  | fr ->
-      remove_record t ~flow fr;
+  | s ->
+      remove_record t ~flow s;
       (* The ingress hop is released locally; the rest of the path learns
          by in-band teardown message, each hop releasing and forwarding.
          A lost leg strands the downstream state — which is exactly what
          the refresh timeout exists to reclaim. *)
-      teardown_hop t fr 0
+      teardown_hop t s 0
 
 let crash_agent t ~switch =
   let n_links = Array.length t.ctrls in
@@ -914,15 +914,15 @@ let crash_agent t ~switch =
   let sched = Fabric.sched t.fab ~link in
   let affected = ref [] in
   Hashtbl.iter
-    (fun flow fr ->
+    (fun flow s ->
       List.iter
         (fun (l, cls) ->
           if l = link then
             match cls with
             | Some _ -> Csz_sched.clear_predicted sched ~flow
             | None -> remove_guaranteed sched ~flow)
-        fr.granted;
-      if List.mem link fr.path && fr.current <> Spec.Datagram then
+        s.granted;
+      if List.mem link s.path && s.current <> Spec.Datagram then
         affected := flow :: !affected)
     t.flows;
   Controller.reset t.ctrls.(link);
@@ -933,9 +933,9 @@ let crash_agent t ~switch =
   let crashed_at = Engine.now (engine t) in
   List.iter
     (fun flow ->
-      let fr = Hashtbl.find t.flows flow in
+      let s = Hashtbl.find t.flows flow in
       let delay =
-        t.reverse_hop_delay *. float_of_int (List.length fr.path)
+        t.reverse_hop_delay *. float_of_int (List.length s.path)
       in
       ignore
         (Engine.schedule_after (engine t) ~delay (fun () ->

@@ -471,21 +471,23 @@ let session_words spec =
     2_000
 
 let test_signaling_session_budget () =
+  (* Measured: 82 / 110 / 149 words for a datagram / guaranteed /
+     predicted session.  What remains is state the session must hold (its
+     record and timer action, the admission and route entries, a
+     predicted flow's policer), the result handed to the requester, and
+     the control packet's link hop. *)
   let module Spec = Ispn_admission.Spec in
   List.iter
     (fun (name, spec, ceiling) ->
       let per = session_words spec in
-      Printf.printf "%s session: %.1f words\n" name per;
       if per > ceiling then
         Alcotest.failf
           "signaling %s session open+close: %.1f minor words (expected <= \
            %.0f)"
           name per ceiling)
     [
-      ("datagram", Spec.Datagram, 1000.);
-      ( "guaranteed",
-        Spec.Guaranteed { clock_rate_bps = 10_000. },
-        1000. );
+      ("datagram", Spec.Datagram, 90.);
+      ("guaranteed", Spec.Guaranteed { clock_rate_bps = 10_000. }, 120.);
       ( "predicted",
         Spec.Predicted
           {
@@ -493,7 +495,7 @@ let test_signaling_session_budget () =
             target_delay = 0.256;
             target_loss = 0.01;
           },
-        1000. );
+        160. );
     ]
 
 let suite =
