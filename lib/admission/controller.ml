@@ -1,6 +1,9 @@
+(* An all-float record, so summing into it stores unboxed floats. *)
+type sum = { mutable total : float }
+
 type link_state = {
   meter : Meter.t;
-  mutable guaranteed_bps : float;
+  guaranteed_bps : sum;
   (* Declared rates of flows too recently admitted for the meter to have
      seen them; keyed by flow, value (rate, admit_epoch). *)
   unmeasured : (int, float * int) Hashtbl.t;
@@ -11,9 +14,6 @@ type flow_record = { request : Spec.request; path : int list }
 (* A datagram flow reserves nothing on its path, so every one shares this
    record: releasing it touches no link. *)
 let datagram_flow = { request = Spec.Datagram; path = [] }
-
-(* An all-float record, so summing into it stores unboxed floats. *)
-type sum = { mutable total : float }
 
 type t = {
   mu : float;
@@ -30,6 +30,7 @@ type t = {
      once here so an admission test allocates neither. *)
   acc : sum;
   add_rate : int -> float * int -> unit;
+  hats : float array;  (* the tested link's {!Meter.hats_into} *)
   admitted_cls : decision array;  (* [Admitted { cls = Some j }] at [j] *)
 }
 
@@ -56,7 +57,7 @@ let create ~n_links ~mu_bps ~class_targets ?(datagram_quota = 0.1)
       Array.init n_links (fun _ ->
           {
             meter = Meter.create ~n_classes:k ~epochs:meter_epochs ();
-            guaranteed_bps = 0.;
+            guaranteed_bps = { total = 0. };
             unmeasured = Hashtbl.create 8;
           });
     flows = Hashtbl.create 32;
@@ -66,6 +67,7 @@ let create ~n_links ~mu_bps ~class_targets ?(datagram_quota = 0.1)
     releases = 0;
     acc;
     add_rate = (fun _ (rate, _) -> acc.total <- acc.total +. rate);
+    hats = Array.make (k + 1) 0.;
     admitted_cls = Array.init k (fun j -> Admitted { cls = Some j });
   }
 
@@ -89,29 +91,33 @@ let epoch t =
       List.iter (Hashtbl.remove ls.unmeasured) stale)
     t.links
 
-let nu_hat t ls =
+(* Also leaves the link's class delay estimates in [t.hats].  This and
+   the two criteria are inlined into [link_ok], so the estimates stay
+   unboxed floats. *)
+let[@inline] nu_hat t ls =
   t.acc.total <- 0.;
   Hashtbl.iter t.add_rate ls.unmeasured;
-  Meter.util_hat ls.meter +. (t.acc.total /. t.mu)
+  Meter.hats_into ls.meter t.hats;
+  t.hats.(0) +. (t.acc.total /. t.mu)
 
 (* Criterion (1): real-time load incl. the newcomer stays under the quota
    complement.  Guaranteed reservations are counted at their full clock rate
    even when idle, since the network has promised that rate.  [nu] is the
    link's {!nu_hat}. *)
-let quota_ok t ls ~nu ~rate =
-  let g = ls.guaranteed_bps /. t.mu in
+let[@inline] quota_ok t ls ~nu ~rate =
+  let g = ls.guaranteed_bps.total /. t.mu in
   let nu = if nu >= g then nu else g (* [Stdlib.max], unboxed *) in
   (rate /. t.mu) +. nu < 1. -. t.datagram_quota
 
 (* Criterion (2) at one link for a flow of burst [b] entering at priority
    [cls] ([-1] = guaranteed, above every class). *)
-let delay_ok t ls ~nu ~rate ~depth ~cls =
+let[@inline] delay_ok t ~nu ~rate ~depth ~cls =
   let headroom = t.mu -. (nu *. t.mu) -. rate in
   (* A loop, not a local [let rec]: that would build its closure on every
      admission test. *)
   let ok = ref (headroom > 0.) and j = ref (Stdlib.max cls 0) in
   while !ok && !j < Array.length t.class_targets do
-    let slack = t.class_targets.(!j) -. Meter.delay_hat ls.meter ~cls:!j in
+    let slack = t.class_targets.(!j) -. t.hats.(!j + 1) in
     ok := depth < slack *. headroom;
     incr j
   done;
@@ -120,7 +126,7 @@ let delay_ok t ls ~nu ~rate ~depth ~cls =
 (* Both criteria at one link, estimating its load once. *)
 let link_ok t ls ~rate ~depth ~cls =
   let nu = nu_hat t ls in
-  quota_ok t ls ~nu ~rate && delay_ok t ls ~nu ~rate ~depth ~cls
+  quota_ok t ls ~nu ~rate && delay_ok t ~nu ~rate ~depth ~cls
 
 (* Both criteria at every link of [path], in path order, stopping at the
    first that fails. *)
@@ -138,18 +144,21 @@ let rec reserve t path ~flow ~rate ~guaranteed =
   | [] -> ()
   | i :: rest ->
       let ls = t.links.(i) in
-      if guaranteed then ls.guaranteed_bps <- ls.guaranteed_bps +. rate;
+      if guaranteed then
+        ls.guaranteed_bps.total <- ls.guaranteed_bps.total +. rate;
       Hashtbl.replace ls.unmeasured flow (rate, t.epoch_now);
       reserve t rest ~flow ~rate ~guaranteed
 
 (* Cheapest class whose summed per-switch targets still meet the flow's
    end-to-end delay target; -1 if none does. *)
 let choose_class t ~target_delay ~hops =
-  let rec best j =
-    if j < 0 || float_of_int hops *. t.class_targets.(j) <= target_delay then j
-    else best (j - 1)
-  in
-  best (Array.length t.class_targets - 1)
+  let j = ref (Array.length t.class_targets - 1) in
+  while
+    !j >= 0 && not (float_of_int hops *. t.class_targets.(!j) <= target_delay)
+  do
+    decr j
+  done;
+  !j
 
 (* Guards each log line: with logging off a decision allocates neither
    [Logs.info]'s [Some src] nor its message closure. *)
@@ -213,7 +222,7 @@ let rec unreserve t path ~flow request =
       Hashtbl.remove ls.unmeasured flow;
       (match request with
       | Spec.Guaranteed { clock_rate_bps = r } ->
-          ls.guaranteed_bps <- ls.guaranteed_bps -. r
+          ls.guaranteed_bps.total <- ls.guaranteed_bps.total -. r
       | Spec.Predicted _ | Spec.Datagram -> ());
       unreserve t rest ~flow request
 
@@ -234,11 +243,11 @@ let reset t =
   Hashtbl.reset t.flows;
   Array.iter
     (fun ls ->
-      ls.guaranteed_bps <- 0.;
+      ls.guaranteed_bps.total <- 0.;
       Hashtbl.reset ls.unmeasured)
     t.links
 
-let guaranteed_reserved_bps t ~link = t.links.(link).guaranteed_bps
+let guaranteed_reserved_bps t ~link = t.links.(link).guaranteed_bps.total
 
 let admitted t =
   Hashtbl.fold

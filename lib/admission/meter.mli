@@ -35,4 +35,10 @@ val util_hat : t -> float
 val delay_hat : t -> cls:int -> float
 (** Conservative maximal delay estimate of class [cls] (seconds). *)
 
+val hats_into : t -> float array -> unit
+(** [hats_into t dst] stores {!util_hat} in [dst.(0)] and each class's
+    {!delay_hat} in [dst.(1 + cls)]: every estimate an admission test
+    reads, handed over without boxing.  [dst] needs [n_classes + 1]
+    slots. *)
+
 val observed_classes : t -> int

@@ -130,6 +130,7 @@ type t = {
   (* Per switch, the host-side injection every session entering there
      emits through. *)
   injects : (Packet.t -> unit) array;
+  refusals : string array;  (* "refused at hop %d: " by hop index *)
   (* Per agent: flow -> time its reservation was last asserted here.  Only
      populated when soft state is on; the sweep expires stale entries. *)
   soft : (int, float) Hashtbl.t array;
@@ -468,13 +469,11 @@ and establish t s =
          emit;
        })
 
-(* The bytes of [Printf.sprintf "refused at hop %d: %s"], concatenated
-   directly: a refusal is common under load, and the format machinery
-   costs several times the message. *)
+(* The bytes of [Printf.sprintf "refused at hop %d: %s"] from a prefix
+   made once per hop: a refusal is common under load, and formatting costs
+   several times the message. *)
 and refuse t s failed_hop reason =
-  fail t s ~failed_hop
-    (String.concat ""
-       [ "refused at hop "; string_of_int (failed_hop + 1); ": "; reason ])
+  fail t s ~failed_hop (t.refusals.(failed_hop) ^ reason)
 
 (* Roll back every reservation made so far, then report after the reverse
    trip. *)
@@ -745,6 +744,9 @@ let deploy ~fabric:fab ?(class_targets = [| 0.008; 0.064 |])
       injects =
         Array.init n_switches (fun at_switch pkt ->
             Fabric.inject fab ~at_switch pkt);
+      refusals =
+        Array.init n_links (fun hop ->
+            Printf.sprintf "refused at hop %d: " (hop + 1));
       soft = Array.init n_links (fun _ -> Hashtbl.create 16);
       pending_msgs = Ispn_util.Seqmap.create ~dummy:no_pending ();
       next_token = 0;
