@@ -36,11 +36,10 @@ type phase =
   | Established  (* run a refresh epoch and re-arm *)
 
 (* One session, from its setup request to its teardown.  While it is
-   being set up, [granted] records, per completed hop, the link index and
-   the class granted there (None = guaranteed), newest first — exactly
-   what a rollback must undo — and [attempts] counts retransmissions of
-   the setup message on the wire (reset when a hop answers), which
-   [token] and [hop] name.
+   being set up, [granted] lists the links reserved so far, newest first —
+   exactly what a rollback must undo — and [attempts] counts
+   retransmissions of the setup message on the wire (reset when a hop
+   answers), which [token] and [hop] name.
 
    Once established, the session is the flow's record: everything a
    post-crash re-setup needs (the path, the original request and the rung
@@ -65,7 +64,8 @@ type session = {
   started_at : float;
   path : int list;
   mutable current : Spec.request;
-  mutable granted : (int * int option) list;
+  mutable granted : int list;
+  mutable ingress_cls : int option;  (* granted at the first hop *)
   mutable bound_acc : float;  (* summed class targets along the path *)
   mutable attempts : int;
   mutable phase : phase;
@@ -122,6 +122,17 @@ type t = {
   max_retries : int;
   refresh_interval : float option;
   lifetime : float;  (* refresh_interval * lifetime_epochs; 0 when off *)
+  (* A refresh or teardown leg's token is reaped a fixed delay after it is
+     sent ([lifetime], or [teardown_reap] for teardown legs), so reaps fire
+     in the order they were scheduled: each kind queues its tokens in a
+     ring and schedules one shared action, which takes the oldest.  A
+     refresh reap also needs the token's flow. *)
+  teardown_reap : float;
+  refresh_reaps : int Ispn_util.Ring.t;
+  refresh_reap_flows : int Ispn_util.Ring.t;
+  mutable reap_refresh : unit -> unit;
+  teardown_reaps : int Ispn_util.Ring.t;
+  mutable reap_teardown : unit -> unit;
   (* One single-link controller per link, owned by that link's upstream
      agent. *)
   ctrls : Controller.t array;
@@ -341,7 +352,8 @@ and advance t s hop =
             s.bound_acc <- s.bound_acc +. t.class_targets.(c)
         | Spec.Predicted _, None | Spec.Datagram, _ -> ());
         stamp t ~link ~flow:s.flow_id;
-        s.granted <- (link, cls) :: s.granted;
+        if hop = 0 then s.ingress_cls <- cls;
+        s.granted <- link :: s.granted;
         forward t s (hop + 1)
   end
 
@@ -350,9 +362,7 @@ and advance t s hop =
    travels the link just reserved (the newest entry of [granted]). *)
 and forward t s hop =
   let sent_over =
-    match s.granted with
-    | (link, _) :: _ -> link
-    | [] -> assert false
+    match s.granted with link :: _ -> link | [] -> assert false
   in
   let token = new_token t in
   Ispn_util.Seqmap.replace t.pending_msgs token (P_setup (s, hop));
@@ -447,11 +457,8 @@ and establish t s =
           Ispn_traffic.Token_bucket.policer ~engine:(engine t) ~bucket:tb
             ~mode:Ispn_traffic.Token_bucket.Drop ~next:inject
         in
-        let ingress_cls =
-          match List.rev s.granted with (_, c) :: _ -> c | [] -> None
-        in
         ( Ispn_traffic.Token_bucket.admit_fn policer,
-          ingress_cls,
+          s.ingress_cls,
           Some s.bound_acc )
     | Spec.Datagram -> (inject, None, None)
   in
@@ -486,15 +493,11 @@ and fail t s ~failed_hop msg =
   ignore (Engine.schedule_after (engine t) ~delay s.timer)
 
 and release_granted t ~flow granted =
-  List.iter
-    (fun (link, cls) ->
-      Controller.release t.ctrls.(link) ~flow;
-      let sched = Fabric.sched t.fab ~link in
-      (match cls with
-      | Some _ -> Csz_sched.clear_predicted sched ~flow
-      | None -> remove_guaranteed sched ~flow (* or a datagram hop *));
-      unstamp t ~link ~flow)
-    granted
+  match granted with
+  | [] -> ()
+  | link :: rest ->
+      wipe_hop t ~link ~flow;
+      release_granted t ~flow rest
 
 (* {2 Soft state: refresh, expiry, in-band teardown} *)
 
@@ -548,12 +551,9 @@ and refresh_hop t rctx hop =
     send_ctrl t ~at_switch:(rctx.rf_ingress + hop) ~over_link:link token;
     (* Reap a token whose packet died on the wire, so pending_msgs stays
        bounded under churn; by then the next epoch has superseded it. *)
-    ignore
-      (Engine.schedule_after (engine t) ~delay:t.lifetime (fun () ->
-           if Ispn_util.Seqmap.mem t.pending_msgs token then begin
-             Ispn_util.Seqmap.remove t.pending_msgs token;
-             clear_refresh_token t ~flow:rctx.rf_flow token
-           end))
+    Ispn_util.Ring.push t.refresh_reaps token;
+    Ispn_util.Ring.push t.refresh_reap_flows rctx.rf_flow;
+    ignore (Engine.schedule_after (engine t) ~delay:t.lifetime t.reap_refresh)
   end
   else if rctx.rf_needs_reassert then
     resetup t ~flow:rctx.rf_flow ~crashed_at:rctx.rf_started
@@ -566,13 +566,11 @@ and teardown_hop t s hop =
     Ispn_util.Seqmap.replace t.pending_msgs token (P_teardown (s, hop + 1));
     t.teardown_packets <- t.teardown_packets + 1;
     send_ctrl t ~at_switch:(s.ingress + hop) ~over_link:link token;
-    let reap =
-      if soft_state_on t then t.lifetime else 20. *. t.setup_timeout
-    in
+    Ispn_util.Ring.push t.teardown_reaps token;
     ignore
-      (Engine.schedule_after (engine t) ~delay:reap (fun () ->
-           Ispn_util.Seqmap.remove t.pending_msgs token))
+      (Engine.schedule_after (engine t) ~delay:t.teardown_reap t.reap_teardown)
   end
+
 
 (* {2 Crash recovery} *)
 
@@ -612,10 +610,7 @@ and reassert t ~flow ~crashed_at s spec =
             let ctrl = t.ctrls.(link) in
             if Controller.mem ctrl ~flow then begin
               stamp t ~link ~flow;
-              let prev =
-                Option.value ~default:None (List.assoc_opt link s.granted)
-              in
-              go rest ((link, prev) :: acc)
+              go rest (link :: acc)
             end
             else (
               match Controller.request ctrl ~flow ~path:[ 0 ] local with
@@ -630,7 +625,7 @@ and reassert t ~flow ~crashed_at s spec =
                       Csz_sched.set_predicted sched ~flow ~cls:c
                   | Spec.Predicted _, None | Spec.Datagram, _ -> ());
                   stamp t ~link ~flow;
-                  go rest ((link, cls) :: acc))
+                  go rest (link :: acc))
       in
       match go s.path [] with
       | Some granted ->
@@ -672,6 +667,18 @@ and resetup t ~flow ~crashed_at =
   | exception Not_found -> ()  (* torn down while the refresh was in flight *)
   | s -> reassert t ~flow ~crashed_at s s.current
 
+let reap_refresh t () =
+  let token = Ispn_util.Ring.pop_exn t.refresh_reaps in
+  let flow = Ispn_util.Ring.pop_exn t.refresh_reap_flows in
+  if Ispn_util.Seqmap.mem t.pending_msgs token then begin
+    Ispn_util.Seqmap.remove t.pending_msgs token;
+    clear_refresh_token t ~flow token
+  end
+
+let reap_teardown t () =
+  Ispn_util.Seqmap.remove t.pending_msgs
+    (Ispn_util.Ring.pop_exn t.teardown_reaps)
+
 (* The agent at [link] expires one un-refreshed reservation: releases the
    admission record and scheduler registration, and — when the flow is
    still nominally established — drops the hop from its grant list so a
@@ -684,7 +691,7 @@ let expire t ~link ~flow =
   match Hashtbl.find t.flows flow with
   | exception Not_found -> ()
   | s ->
-      s.granted <- List.filter (fun (l, _) -> l <> link) s.granted
+      s.granted <- List.filter (fun l -> l <> link) s.granted
 
 let deploy ~fabric:fab ?(class_targets = [| 0.008; 0.064 |])
     ?(epoch_interval = 1.0) ?(reverse_hop_delay = 1e-3)
@@ -736,6 +743,13 @@ let deploy ~fabric:fab ?(class_targets = [| 0.008; 0.064 |])
       max_retries;
       refresh_interval;
       lifetime;
+      teardown_reap =
+        (if refresh_interval = None then 20. *. setup_timeout else lifetime);
+      refresh_reaps = Ispn_util.Ring.create ~dummy:(-1) ();
+      refresh_reap_flows = Ispn_util.Ring.create ~dummy:(-1) ();
+      reap_refresh = nop;
+      teardown_reaps = Ispn_util.Ring.create ~dummy:(-1) ();
+      reap_teardown = nop;
       ctrls;
       paths =
         Array.init n_switches (fun ingress ->
@@ -769,6 +783,8 @@ let deploy ~fabric:fab ?(class_targets = [| 0.008; 0.064 |])
       expired = 0;
     }
   in
+  t.reap_refresh <- reap_refresh t;
+  t.reap_teardown <- reap_teardown t;
   (* Control channels: one flow per link, delivered to the downstream
      agent, which resumes the setup from there. *)
   for link = 0 to n_links - 1 do
@@ -851,6 +867,7 @@ let setup t ~flow ~ingress ~egress ?own_bucket spec ~sink ~on_result =
           path;
           current = spec;
           granted = [];
+          ingress_cls = None;
           bound_acc = 0.;
           attempts = 0;
           phase = Reserving;
@@ -917,13 +934,10 @@ let crash_agent t ~switch =
   let affected = ref [] in
   Hashtbl.iter
     (fun flow s ->
-      List.iter
-        (fun (l, cls) ->
-          if l = link then
-            match cls with
-            | Some _ -> Csz_sched.clear_predicted sched ~flow
-            | None -> remove_guaranteed sched ~flow)
-        s.granted;
+      if List.mem link s.granted then begin
+        Csz_sched.clear_predicted sched ~flow;
+        remove_guaranteed sched ~flow
+      end;
       if List.mem link s.path && s.current <> Spec.Datagram then
         affected := flow :: !affected)
     t.flows;
