@@ -46,7 +46,11 @@ type phase =
    of the degradation ladder in force, [current]) and the soft-state
    machinery.  [token] then names the refresh leg on the wire (-1 =
    none), which a teardown must invalidate so a delayed refresh cannot
-   resurrect state for a dead flow.
+   resurrect state for a dead flow.  After departure, [hop] is the hop
+   the in-band teardown releases next.  At most one setup or teardown
+   message of a session is pending at a time (a retransmission first
+   invalidates the token it replaces), so the message names the session
+   and the session holds its hop.
 
    Every timed step — retransmission, the confirmation or refusal after
    the reverse trip, each refresh epoch — runs through the one [timer]
@@ -93,9 +97,9 @@ type refresh_ctx = {
    departed session's path; it is deliberately fire-and-forget: a lost leg
    leaves the downstream state to the refresh timeout. *)
 type pending =
-  | P_setup of session * int  (* resume the setup at this hop *)
+  | P_setup of session  (* resume the setup at the session's [hop] *)
   | P_refresh of refresh_ctx * int  (* stamp this hop, forward *)
-  | P_teardown of session * int  (* release this hop, forward *)
+  | P_teardown of session  (* release the session's [hop], forward *)
 
 (* Fills the token table's vacant slots. *)
 let no_pending =
@@ -313,14 +317,14 @@ let rec process t token =
   match Ispn_util.Seqmap.find t.pending_msgs token with
   | exception Not_found ->
       ()  (* stale, duplicated or retransmitted-over control packet *)
-  | P_setup (s, hop) ->
+  | P_setup s ->
       Ispn_util.Seqmap.remove t.pending_msgs token;
       if s.timer_h <> Engine.no_handle then begin
         Engine.cancel (engine t) s.timer_h;
         s.timer_h <- Engine.no_handle
       end;
       s.attempts <- 0;
-      advance t s hop
+      advance t s s.hop
   | P_refresh (rctx, hop) ->
       Ispn_util.Seqmap.remove t.pending_msgs token;
       (* Only a still-established flow may be refreshed: a teardown racing
@@ -329,9 +333,9 @@ let rec process t token =
         clear_refresh_token t ~flow:rctx.rf_flow token;
         refresh_hop t rctx hop
       end
-  | P_teardown (s, hop) ->
+  | P_teardown s ->
       Ispn_util.Seqmap.remove t.pending_msgs token;
-      teardown_hop t s hop
+      teardown_hop t s s.hop
 
 (* Try to reserve at [hop] (an index into s.path); on success forward the
    setup message over that hop's link, or confirm if past the last hop. *)
@@ -365,12 +369,12 @@ and forward t s hop =
     match s.granted with link :: _ -> link | [] -> assert false
   in
   let token = new_token t in
-  Ispn_util.Seqmap.replace t.pending_msgs token (P_setup (s, hop));
+  s.token <- token;
+  s.hop <- hop;
+  Ispn_util.Seqmap.replace t.pending_msgs token (P_setup s);
   send_ctrl t
     ~at_switch:(s.ingress + List.length s.granted - 1)
     ~over_link:sent_over token;
-  s.token <- token;
-  s.hop <- hop;
   (* [2. ** 0.] is exactly 1., so a first send waits exactly
      [setup_timeout]; only retransmissions compute (and box) a delay. *)
   let delay =
@@ -563,7 +567,8 @@ and teardown_hop t s hop =
   wipe_hop t ~link ~flow:s.flow_id;
   if hop + 1 < List.length s.path then begin
     let token = new_token t in
-    Ispn_util.Seqmap.replace t.pending_msgs token (P_teardown (s, hop + 1));
+    s.hop <- hop + 1;
+    Ispn_util.Seqmap.replace t.pending_msgs token (P_teardown s);
     t.teardown_packets <- t.teardown_packets + 1;
     send_ctrl t ~at_switch:(s.ingress + hop) ~over_link:link token;
     Ispn_util.Ring.push t.teardown_reaps token;
