@@ -432,7 +432,6 @@ and establish t s =
   Hashtbl.remove t.in_flight s.flow_id;
   s.phase <- Established;
   s.token <- -1;
-  s.timer_h <- Engine.no_handle;
   Hashtbl.replace t.flows s.flow_id s;
   t.established_count <- t.established_count + 1;
   t.total_established <- t.total_established + 1;
@@ -575,7 +574,6 @@ and teardown_hop t s hop =
     ignore
       (Engine.schedule_after (engine t) ~delay:t.teardown_reap t.reap_teardown)
   end
-
 
 (* {2 Crash recovery} *)
 
