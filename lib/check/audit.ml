@@ -301,13 +301,12 @@ let tap t =
       match t.bounds.(flow) with
       | Some g when g.g_link = link ->
           let c = bound_counter t g.g_kind in
-          if not (check c (pa.Packet.qdelay_total.(pkt) <= g.bound_s +. bound_eps))
-          then
+          let d = pa.Packet.qdelay_total.(pkt) in
+          if not (check c (d <= g.bound_s +. bound_eps)) then
             violatef t c
               "flow %d seq %d at t=%.6f: queueing delay %.6fs exceeds the %s \
                bound %.6fs"
-              flow pa.Packet.seq.(pkt) now pa.Packet.qdelay_total.(pkt)
-              (bound_label g.g_kind) g.bound_s
+              flow pa.Packet.seq.(pkt) now d (bound_label g.g_kind) g.bound_s
       | _ -> ()
   in
   let on_drop ~link ~now ~cause (pkt : Packet.t) =

@@ -210,7 +210,9 @@ let qcheck_seqmap_model =
             incr next
           end
           else begin
-            let live = List.sort compare (Hashtbl.fold (fun k _ l -> k :: l) h []) in
+            let live =
+              List.sort compare (Hashtbl.fold (fun k _ l -> k :: l) h [])
+            in
             let k = List.nth live (i mod List.length live) in
             Seqmap.remove m k;
             Hashtbl.remove h k
@@ -238,8 +240,9 @@ let test_seqmap_edges () =
   Seqmap.remove m 6;
   Seqmap.remove m (-3);
   Alcotest.(check bool) "negative key unbound" false (Seqmap.mem m (-3));
-  Alcotest.check_raises "negative key" (Invalid_argument "Seqmap.replace: negative key")
-    (fun () -> Seqmap.replace m (-1) "x");
+  Alcotest.check_raises "negative key"
+    (Invalid_argument "Seqmap.replace: negative key") (fun () ->
+      Seqmap.replace m (-1) "x");
   (* A key 64 issues older than the newest shares its slot at capacity 64:
      the table grows instead of evicting it. *)
   Seqmap.replace m 69 "c";
