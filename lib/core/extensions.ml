@@ -1617,10 +1617,16 @@ let run_churn ?(duration = 120.) ?(seed = 42L) ?(lambda = 420.) ?(j = 1)
     done;
     let sessions : (int, churn_session) Hashtbl.t = Hashtbl.create 4096 in
     let offered = ref 0 in
+    (* Every slot waits the same [reclaim], so the releases fire in the
+       order they were scheduled: one shared action frees the oldest
+       queued slot. *)
+    let reclaiming = Ispn_util.Ring.create ~dummy:(-1) () in
+    let reclaim_oldest () =
+      Ispn_util.Idpool.release pool ~id:(Ispn_util.Ring.pop_exn reclaiming)
+    in
     let release_later flow =
-      ignore
-        (Engine.schedule_after engine ~delay:reclaim (fun () ->
-             Ispn_util.Idpool.release pool ~id:flow))
+      Ispn_util.Ring.push reclaiming flow;
+      ignore (Engine.schedule_after engine ~delay:reclaim reclaim_oldest)
     in
     let depart s =
       (match s.cs_src with

@@ -201,8 +201,8 @@ let test_churn_words_per_transmission () =
      and teardown legs, the four fault scenarios and the auditor on every
      link.  A first run with a one-sample series counts the link
      transmissions; the measured run repeats it without the series (same
-     seed, same events).  5 simulated seconds measure 61.9 minor words per
-     transmission, set-up included; 30 seconds measure 49.4, as start-up
+     seed, same events).  5 simulated seconds measure 61.1 minor words per
+     transmission, set-up included; 30 seconds measure 48.5, as start-up
      amortizes. *)
   let duration = 5. in
   let counted =
