@@ -113,6 +113,9 @@ let no_pending =
       },
       -1 )
 
+(* Marks a [paths] entry not resolved yet (compared physically). *)
+let unresolved = Some [ -1 ]
+
 type t = {
   fab : Fabric.t;
   clock : Engine.clock;
@@ -140,7 +143,7 @@ type t = {
   (* One single-link controller per link, owned by that link's upstream
      agent. *)
   ctrls : Controller.t array;
-  (* [Fabric.path] for every (ingress, egress) pair, resolved once. *)
+  (* [Fabric.path] by (ingress, egress), resolved on first use. *)
   paths : int list option array array;
   (* Per switch, the host-side injection every session entering there
      emits through. *)
@@ -754,16 +757,13 @@ let deploy ~fabric:fab ?(class_targets = [| 0.008; 0.064 |])
       teardown_reaps = Ispn_util.Ring.create ~dummy:(-1) ();
       reap_teardown = nop;
       ctrls;
-      paths =
-        Array.init n_switches (fun ingress ->
-            Array.init n_switches (fun egress ->
-                Fabric.path fab ~ingress ~egress));
+      paths = Array.make_matrix n_switches n_switches unresolved;
       injects =
         Array.init n_switches (fun at_switch pkt ->
             Fabric.inject fab ~at_switch pkt);
       refusals =
         Array.init n_links (fun hop ->
-            Printf.sprintf "refused at hop %d: " (hop + 1));
+            "refused at hop " ^ string_of_int (hop + 1) ^ ": ");
       soft = Array.init n_links (fun _ -> Hashtbl.create 16);
       pending_msgs = Ispn_util.Seqmap.create ~dummy:no_pending ();
       next_token = 0;
@@ -842,17 +842,24 @@ let deploy ~fabric:fab ?(class_targets = [| 0.008; 0.064 |])
       ignore (Engine.schedule_after (engine t) ~delay:ri sweep));
   t
 
+let route t ~ingress ~egress =
+  let n = Array.length t.paths in
+  if ingress >= 0 && ingress < n && egress >= 0 && egress < n then begin
+    let r = t.paths.(ingress).(egress) in
+    if r != unresolved then r
+    else begin
+      let r = Fabric.path t.fab ~ingress ~egress in
+      t.paths.(ingress).(egress) <- r;
+      r
+    end
+  end
+  else Fabric.path t.fab ~ingress ~egress
+
 let setup t ~flow ~ingress ~egress ?own_bucket spec ~sink ~on_result =
   if Hashtbl.mem t.in_flight flow || Hashtbl.mem t.flows flow then
     invalid_arg
       (Printf.sprintf "Signaling.setup: flow %d already in flight" flow);
-  let route =
-    let n = Array.length t.paths in
-    if ingress >= 0 && ingress < n && egress >= 0 && egress < n then
-      t.paths.(ingress).(egress)
-    else Fabric.path t.fab ~ingress ~egress
-  in
-  match route with
+  match route t ~ingress ~egress with
   | None | Some [] -> on_result (Error "no route")
   | Some path ->
       Hashtbl.replace t.in_flight flow ();
