@@ -4,6 +4,8 @@ module Bounds = Ispn_admission.Bounds
 module Controller = Ispn_admission.Controller
 module Meter = Ispn_admission.Meter
 module Units = Ispn_util.Units
+module Seqmap = Ispn_util.Seqmap
+module Ring = Ispn_util.Ring
 
 let control_packet_bits = 500
 let ctrl_flow_base = 900_000
@@ -135,10 +137,10 @@ type t = {
      ring and schedules one shared action, which takes the oldest.  A
      refresh reap also needs the token's flow. *)
   teardown_reap : float;
-  refresh_reaps : int Ispn_util.Ring.t;
-  refresh_reap_flows : int Ispn_util.Ring.t;
+  refresh_reaps : int Ring.t;
+  refresh_reap_flows : int Ring.t;
   mutable reap_refresh : unit -> unit;
-  teardown_reaps : int Ispn_util.Ring.t;
+  teardown_reaps : int Ring.t;
   mutable reap_teardown : unit -> unit;
   (* One single-link controller per link, owned by that link's upstream
      agent. *)
@@ -152,7 +154,7 @@ type t = {
   (* Per agent: flow -> time its reservation was last asserted here.  Only
      populated when soft state is on; the sweep expires stale entries. *)
   soft : (int, float) Hashtbl.t array;
-  pending_msgs : pending Ispn_util.Seqmap.t;  (* token -> message *)
+  pending_msgs : pending Seqmap.t;  (* token -> message *)
   mutable next_token : int;
   in_flight : (int, unit) Hashtbl.t;  (* flows with a setup travelling *)
   flows : (int, session) Hashtbl.t;  (* established *)
@@ -317,11 +319,11 @@ let local_of spec ~hops =
 
 (* Forward declaration dance: agents need [process] which needs [t]. *)
 let rec process t token =
-  match Ispn_util.Seqmap.find t.pending_msgs token with
+  match Seqmap.find t.pending_msgs token with
   | exception Not_found ->
       ()  (* stale, duplicated or retransmitted-over control packet *)
   | P_setup s ->
-      Ispn_util.Seqmap.remove t.pending_msgs token;
+      Seqmap.remove t.pending_msgs token;
       if s.timer_h <> Engine.no_handle then begin
         Engine.cancel (engine t) s.timer_h;
         s.timer_h <- Engine.no_handle
@@ -329,7 +331,7 @@ let rec process t token =
       s.attempts <- 0;
       advance t s s.hop
   | P_refresh (rctx, hop) ->
-      Ispn_util.Seqmap.remove t.pending_msgs token;
+      Seqmap.remove t.pending_msgs token;
       (* Only a still-established flow may be refreshed: a teardown racing
          this packet has already invalidated the token, but be safe. *)
       if Hashtbl.mem t.flows rctx.rf_flow then begin
@@ -337,7 +339,7 @@ let rec process t token =
         refresh_hop t rctx hop
       end
   | P_teardown s ->
-      Ispn_util.Seqmap.remove t.pending_msgs token;
+      Seqmap.remove t.pending_msgs token;
       teardown_hop t s s.hop
 
 (* Try to reserve at [hop] (an index into s.path); on success forward the
@@ -374,7 +376,7 @@ and forward t s hop =
   let token = new_token t in
   s.token <- token;
   s.hop <- hop;
-  Ispn_util.Seqmap.replace t.pending_msgs token (P_setup s);
+  Seqmap.replace t.pending_msgs token (P_setup s);
   send_ctrl t
     ~at_switch:(s.ingress + List.length s.granted - 1)
     ~over_link:sent_over token;
@@ -391,8 +393,8 @@ and forward t s hop =
    delayed cannot double-reserve when it finally lands. *)
 and on_timeout t s =
   let token = s.token and hop = s.hop in
-  if Ispn_util.Seqmap.mem t.pending_msgs token then begin
-    Ispn_util.Seqmap.remove t.pending_msgs token;
+  if Seqmap.mem t.pending_msgs token then begin
+    Seqmap.remove t.pending_msgs token;
     s.timer_h <- Engine.no_handle;
     if s.attempts >= t.max_retries then begin
       t.abandoned <- t.abandoned + 1;
@@ -530,7 +532,7 @@ and refresh_now t ~flow =
       t.refreshes <- t.refreshes + 1;
       (* Supersede any leg of the previous epoch still on the wire. *)
       if s.token >= 0 then begin
-        Ispn_util.Seqmap.remove t.pending_msgs s.token;
+        Seqmap.remove t.pending_msgs s.token;
         s.token <- -1
       end;
       let rctx =
@@ -551,14 +553,14 @@ and refresh_hop t rctx hop =
    else rctx.rf_needs_reassert <- true);
   if hop + 1 < List.length rctx.rf_path then begin
     let token = new_token t in
-    Ispn_util.Seqmap.replace t.pending_msgs token (P_refresh (rctx, hop + 1));
+    Seqmap.replace t.pending_msgs token (P_refresh (rctx, hop + 1));
     set_refresh_token t ~flow:rctx.rf_flow token;
     t.refresh_packets <- t.refresh_packets + 1;
     send_ctrl t ~at_switch:(rctx.rf_ingress + hop) ~over_link:link token;
     (* Reap a token whose packet died on the wire, so pending_msgs stays
        bounded under churn; by then the next epoch has superseded it. *)
-    Ispn_util.Ring.push t.refresh_reaps token;
-    Ispn_util.Ring.push t.refresh_reap_flows rctx.rf_flow;
+    Ring.push t.refresh_reaps token;
+    Ring.push t.refresh_reap_flows rctx.rf_flow;
     ignore (Engine.schedule_after (engine t) ~delay:t.lifetime t.reap_refresh)
   end
   else if rctx.rf_needs_reassert then
@@ -570,10 +572,10 @@ and teardown_hop t s hop =
   if hop + 1 < List.length s.path then begin
     let token = new_token t in
     s.hop <- hop + 1;
-    Ispn_util.Seqmap.replace t.pending_msgs token (P_teardown s);
+    Seqmap.replace t.pending_msgs token (P_teardown s);
     t.teardown_packets <- t.teardown_packets + 1;
     send_ctrl t ~at_switch:(s.ingress + hop) ~over_link:link token;
-    Ispn_util.Ring.push t.teardown_reaps token;
+    Ring.push t.teardown_reaps token;
     ignore
       (Engine.schedule_after (engine t) ~delay:t.teardown_reap t.reap_teardown)
   end
@@ -674,16 +676,16 @@ and resetup t ~flow ~crashed_at =
   | s -> reassert t ~flow ~crashed_at s s.current
 
 let reap_refresh t () =
-  let token = Ispn_util.Ring.pop_exn t.refresh_reaps in
-  let flow = Ispn_util.Ring.pop_exn t.refresh_reap_flows in
-  if Ispn_util.Seqmap.mem t.pending_msgs token then begin
-    Ispn_util.Seqmap.remove t.pending_msgs token;
+  let token = Ring.pop_exn t.refresh_reaps in
+  let flow = Ring.pop_exn t.refresh_reap_flows in
+  if Seqmap.mem t.pending_msgs token then begin
+    Seqmap.remove t.pending_msgs token;
     clear_refresh_token t ~flow token
   end
 
 let reap_teardown t () =
-  Ispn_util.Seqmap.remove t.pending_msgs
-    (Ispn_util.Ring.pop_exn t.teardown_reaps)
+  Seqmap.remove t.pending_msgs
+    (Ring.pop_exn t.teardown_reaps)
 
 (* The agent at [link] expires one un-refreshed reservation: releases the
    admission record and scheduler registration, and — when the flow is
@@ -751,10 +753,10 @@ let deploy ~fabric:fab ?(class_targets = [| 0.008; 0.064 |])
       lifetime;
       teardown_reap =
         (if refresh_interval = None then 20. *. setup_timeout else lifetime);
-      refresh_reaps = Ispn_util.Ring.create ~dummy:(-1) ();
-      refresh_reap_flows = Ispn_util.Ring.create ~dummy:(-1) ();
+      refresh_reaps = Ring.create ~dummy:(-1) ();
+      refresh_reap_flows = Ring.create ~dummy:(-1) ();
       reap_refresh = nop;
-      teardown_reaps = Ispn_util.Ring.create ~dummy:(-1) ();
+      teardown_reaps = Ring.create ~dummy:(-1) ();
       reap_teardown = nop;
       ctrls;
       paths = Array.make_matrix n_switches n_switches unresolved;
@@ -765,7 +767,7 @@ let deploy ~fabric:fab ?(class_targets = [| 0.008; 0.064 |])
         Array.init n_links (fun hop ->
             "refused at hop " ^ string_of_int (hop + 1) ^ ": ");
       soft = Array.init n_links (fun _ -> Hashtbl.create 16);
-      pending_msgs = Ispn_util.Seqmap.create ~dummy:no_pending ();
+      pending_msgs = Seqmap.create ~dummy:no_pending ();
       next_token = 0;
       in_flight = Hashtbl.create 16;
       flows = Hashtbl.create 32;
@@ -900,7 +902,7 @@ let cancel_refresh t s =
     s.timer_h <- Engine.no_handle
   end;
   if s.token >= 0 then begin
-    Ispn_util.Seqmap.remove t.pending_msgs s.token;
+    Seqmap.remove t.pending_msgs s.token;
     s.token <- -1
   end
 
