@@ -767,7 +767,7 @@ let deploy ~fabric:fab ?(class_targets = [| 0.008; 0.064 |])
         Array.init n_links (fun hop ->
             "refused at hop " ^ string_of_int (hop + 1) ^ ": ");
       soft = Array.init n_links (fun _ -> Hashtbl.create 16);
-      pending_msgs = Seqmap.create ~dummy:no_pending ();
+      pending_msgs = Seqmap.create ~capacity:64 ~dummy:no_pending;
       next_token = 0;
       in_flight = Hashtbl.create 16;
       flows = Hashtbl.create 32;

@@ -6,7 +6,7 @@ type 'a t = {
   dummy : 'a;
 }
 
-let create ?(capacity = 64) ~dummy () =
+let create ~capacity ~dummy =
   let n = ref 1 in
   while !n < capacity do
     n := 2 * !n

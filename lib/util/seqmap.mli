@@ -13,9 +13,9 @@
 
 type 'a t
 
-val create : ?capacity:int -> dummy:'a -> unit -> 'a t
-(** [capacity] (default 64) is rounded up to a power of two.  [dummy]
-    fills vacated slots so removed values are not kept live. *)
+val create : capacity:int -> dummy:'a -> 'a t
+(** [capacity] is rounded up to a power of two.  [dummy] fills vacated
+    slots so removed values are not kept live. *)
 
 val replace : 'a t -> int -> 'a -> unit
 (** Bind a key (>= 0), replacing any binding it has.  Raises

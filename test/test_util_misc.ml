@@ -199,7 +199,7 @@ let qcheck_seqmap_model =
   QCheck.Test.make ~name:"seqmap agrees with a Hashtbl" ~count:300
     QCheck.(list (pair bool small_nat))
     (fun ops ->
-      let m = Seqmap.create ~capacity:2 ~dummy:(-1) () in
+      let m = Seqmap.create ~capacity:2 ~dummy:(-1) in
       let h = Hashtbl.create 8 in
       let next = ref 0 in
       List.iter
@@ -232,7 +232,7 @@ let qcheck_seqmap_model =
            (List.init (!next + 2) Fun.id))
 
 let test_seqmap_edges () =
-  let m = Seqmap.create ~dummy:"" () in
+  let m = Seqmap.create ~capacity:64 ~dummy:"" in
   Seqmap.replace m 5 "a";
   Seqmap.replace m 5 "b";
   Alcotest.(check int) "rebinding keeps one" 1 (Seqmap.length m);
